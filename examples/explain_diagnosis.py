@@ -67,7 +67,7 @@ def act_three_attribute() -> None:
     def run_report(layout):
         ds = Dataset.create(SHAPE, layout=layout,
                             drive="minidrive", seed=7)
-        ds.with_telemetry(trace=True)
+        ds = ds.with_telemetry(trace=True)
         report = ds.random_beams(axis=0, n=4).run()
         tracer = ds.telemetry.tracer
         return {

@@ -44,7 +44,7 @@ All façade attributes load lazily (PEP 562): ``import repro`` stays cheap.
 
 from __future__ import annotations
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 #: single source of truth for the lazy public surface: name -> module
 _LAZY_EXPORTS = {

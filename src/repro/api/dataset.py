@@ -13,31 +13,30 @@ a registered layout's mapper, a
     report = ds.random_beams(axis=1, n=5).run()
     print(report.render_table())
 
-Layouts and drives resolve through :mod:`repro.api.registry`, and the
-wiring goes through the same :func:`~repro.api.registry.build_mapper`
-helper as :func:`repro.datasets.grid.build_chunk_mappers`, so a façade
-stack is bit-identical to a hand-wired one.  ``with_layout`` clones the
-dataset under another mapping on a fresh identical volume — the paper's
-fairness condition for layout comparisons.  ``with_shards`` declusters
-the dataset's chunks across several identical member disks
-(:mod:`repro.shard`) and services queries scatter-gather;
-``with_shards(1)`` is pinned bit-identical to the unsharded stack
-(``tests/shard/test_parity.py``), the same guarantee the capacity-0
-cache parity gives.  Online updates (§4.6) are exposed through a lazily
-created :class:`~repro.core.store.CellStore` (``insert`` / ``delete`` /
-``bulk_load`` / ``reorganize``) on unsharded datasets.
+Datasets are values: one frozen stack spec each.  Every ``with_*`` call
+validates its arguments and returns a *new* dataset, leaving the
+receiver untouched (``ds = ds.with_shards(4).with_cache(4096)``).  The
+stack is built lazily, at most once per dataset, on first access to
+``storage``, ``volume`` or ``mapper``, with fresh drives, pool and
+telemetry — both layouts of a comparison occupy the same LBN region of
+identical disks, the paper's fairness condition.  The wiring goes
+through the same :func:`~repro.api.registry.build_mapper` helper as
+:func:`repro.datasets.grid.build_chunk_mappers`, so a façade stack is
+bit-identical to a hand-wired one; ``with_shards(1)`` is pinned
+bit-identical to the unsharded stack (``tests/shard/test_parity.py``).
+Online updates (§4.6) go through a lazily created
+:class:`~repro.core.store.CellStore` on unsharded datasets.
 
-Determinism: ``Dataset.create(seed=...)`` owns a
-:class:`numpy.random.SeedSequence`; every ``run()`` without an explicit
-``rng`` draws the next spawned child generator, so repeated batches use
-independent streams while a fresh ``Dataset`` with the same seed replays
-the identical sequence (and a ``with_layout`` clone sees the same streams
-as its parent, keeping cross-layout comparisons fair).
+Determinism: a seeded dataset owns a :class:`numpy.random.SeedSequence`
+of its spec's seed; every ``run()`` without an explicit ``rng`` draws
+the next spawned child, so a fresh or derived dataset with the same seed
+replays the identical sequence.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -76,6 +75,35 @@ def _resolve_drive(drive) -> tuple[str, object]:
         f"drive must be a registered name, a DiskModel, or a factory; "
         f"got {type(drive).__name__}"
     )
+
+
+def _make_pool(cache: dict | None, n_disks: int):
+    """A fresh buffer pool for a cache spec (``None`` when detached)."""
+    if cache is None:
+        return None
+    from repro.cache import BufferPool, ShardedBufferPool
+
+    opts = dict(cache)
+    capacity = opts.pop("capacity_blocks")
+    if opts.pop("scope", "shared") == "per_shard":
+        return ShardedBufferPool(n_disks, capacity, **opts)
+    return BufferPool(capacity, **opts)
+
+
+def _make_telemetry(obs: dict | None):
+    """A fresh :class:`~repro.obs.Telemetry` (and monitor) for a
+    telemetry spec (``None`` when detached)."""
+    if obs is None:
+        return None
+    from repro.obs import Telemetry
+
+    opts = dict(obs)
+    monitor = opts.pop("monitor", None)
+    if monitor is not None:
+        from repro.monitor import Monitor
+
+        monitor = Monitor() if monitor is True else Monitor(**monitor)
+    return Telemetry(**opts, monitor=monitor)
 
 
 class QueryBatch:
@@ -244,44 +272,56 @@ class QueryBatch:
         )
 
 
+@dataclass(frozen=True)
+class _StackSpec:
+    """Everything a :class:`Dataset` stack is built from.
+
+    Frozen: a ``with_*`` call derives a new spec with
+    :func:`dataclasses.replace`, so no call can change another dataset's
+    configuration.  The dict-valued parts are never mutated once built.
+    """
+
+    shape: tuple
+    layout: str
+    drive_name: str
+    drive_factory: Callable
+    cell_blocks: int
+    depth: int | None
+    seed: object
+    sm_opts: dict  # window / sptf_run_limit / coalesce_gap_blocks
+    layout_opts: dict
+    shard_map: object = None  # repro.shard.ShardMap when sharded
+    replicas: dict | None = None  # k / placement / read_policy
+    cache: dict | None = None  # pool options
+    obs: dict | None = None  # telemetry options
+    ingest: dict | None = None  # ingest-run defaults
+    store_opts: dict = field(default_factory=dict)
+
+    @property
+    def n_disks(self) -> int:
+        return 1 if self.shard_map is None else self.shard_map.n_disks
+
+
+def _from_spec(name: str) -> property:
+    """A read-only :class:`Dataset` attribute backed by its spec."""
+    return property(lambda self: getattr(self._spec, name))
+
+
 class Dataset:
     """A placed multidimensional dataset: drive + volume + mapper +
-    storage manager behind one object.  Use :meth:`create`."""
+    storage manager behind one object.  Use :meth:`create`; configure
+    with the ``with_*`` calls, each of which returns a new dataset."""
 
-    def __init__(self, *, shape, layout, drive, cell_blocks=1, depth=None,
-                 seed=None, window=128, sptf_run_limit=150_000,
-                 coalesce_gap_blocks=24, layout_opts=None):
-        self.shape = tuple(int(s) for s in shape)
-        self.layout = str(layout)
-        self.cell_blocks = int(cell_blocks)
-        self.depth = None if depth is None else int(depth)
-        self.seed = seed
-        self.layout_opts = dict(layout_opts or {})
-        self._sm_opts = {
-            "window": window,
-            "sptf_run_limit": sptf_run_limit,
-            "coalesce_gap_blocks": coalesce_gap_blocks,
-        }
-        self.drive_name, self._drive_factory = _resolve_drive(drive)
-        self._layout_entry = LAYOUTS.get(self.layout)
-
-        self.volume = LogicalVolume([self._drive_factory()],
-                                    depth=self.depth)
-        # the mapper is built lazily (see the property below): a dataset
-        # that is immediately re-sharded or re-laid-out never pays for a
-        # whole-grid placement it would throw away
+    def __init__(self, spec: _StackSpec):
+        self._spec = spec
+        # runtime state, built from the spec by _build() on first use
+        self._volume = None
+        self._storage = None
         self._mapper = None
-        self.storage = StorageManager(self.volume, **self._sm_opts)
-        self._cache_spec: dict | None = None
-        self._shard_spec: dict | None = None
-        self._replica_spec: dict | None = None
-        self._seedseq = (
-            None if seed is None else np.random.SeedSequence(seed)
-        )
         self._store: CellStore | None = None
-        self._store_opts: dict = {}
-        self._ingest_spec: dict | None = None
-        self._obs_spec: dict | None = None
+        self._seedseq = (
+            None if spec.seed is None else np.random.SeedSequence(spec.seed)
+        )
 
     @classmethod
     def create(cls, shape, layout: str = "multimap",
@@ -290,7 +330,7 @@ class Dataset:
                sptf_run_limit: int = 150_000,
                coalesce_gap_blocks: int = 24,
                **layout_opts) -> "Dataset":
-        """Build the full stack for ``shape`` under a registered layout.
+        """The dataset ``shape`` under a registered layout.
 
         Parameters mirror the hand-wired idiom: ``depth`` pins the
         adjacency depth D; the default ``None`` uses the drive's native
@@ -301,75 +341,128 @@ class Dataset:
         512-byte block), and ``**layout_opts`` pass through to the mapper
         (e.g. MultiMap's ``strategy=`` / ``zones=``).
         """
-        return cls(
-            shape=shape, layout=layout, drive=drive,
-            cell_blocks=cell_blocks, depth=depth, seed=seed,
-            window=window, sptf_run_limit=sptf_run_limit,
-            coalesce_gap_blocks=coalesce_gap_blocks,
-            layout_opts=layout_opts,
+        drive_name, factory = _resolve_drive(drive)
+        LAYOUTS.get(layout)  # a typo fails here, not at first use
+        return cls(_StackSpec(
+            shape=tuple(int(s) for s in shape), layout=str(layout),
+            drive_name=drive_name, drive_factory=factory,
+            cell_blocks=int(cell_blocks),
+            depth=None if depth is None else int(depth), seed=seed,
+            sm_opts={
+                "window": window,
+                "sptf_run_limit": sptf_run_limit,
+                "coalesce_gap_blocks": coalesce_gap_blocks,
+            },
+            layout_opts=dict(layout_opts),
+        ))
+
+    # ------------------------------------------------------------------
+    # the spec and the stack built from it
+    # ------------------------------------------------------------------
+
+    shape = _from_spec("shape")
+    layout = _from_spec("layout")
+    drive_name = _from_spec("drive_name")
+    cell_blocks = _from_spec("cell_blocks")
+    depth = _from_spec("depth")
+    seed = _from_spec("seed")
+
+    @property
+    def layout_opts(self) -> dict:
+        return dict(self._spec.layout_opts)
+
+    def _build(self) -> None:
+        """Turn the spec into runtime state: the volume (one drive, or
+        one per shard), the storage manager the spec calls for, the
+        pool, and the telemetry.  Runs at most once per dataset."""
+        if self._storage is not None:
+            return
+        s = self._spec
+        volume = LogicalVolume(
+            [s.drive_factory() for _ in range(s.n_disks)], depth=s.depth
         )
+        entry = LAYOUTS.get(s.layout)
+        if s.shard_map is None:
+            storage = StorageManager(volume, **s.sm_opts)
+            mapper = build_mapper(entry, s.shape, volume, 0,
+                                  cell_blocks=s.cell_blocks,
+                                  **s.layout_opts)
+        else:
+            from repro.replica import ReplicatedStorageManager
+            from repro.shard import ShardedStorageManager
+
+            opts = dict(cell_blocks=s.cell_blocks,
+                        layout_opts=s.layout_opts, **s.sm_opts)
+            if s.replicas is None:
+                storage = ShardedStorageManager(volume, s.shard_map,
+                                                entry, **opts)
+            else:
+                storage = ReplicatedStorageManager(
+                    volume, s.shard_map, entry, **s.replicas, **opts
+                )
+            mapper = storage.mapper
+        storage.cache = _make_pool(s.cache, s.n_disks)
+        storage.obs = _make_telemetry(s.obs)
+        self._volume, self._storage, self._mapper = volume, storage, mapper
+
+    @property
+    def volume(self) -> LogicalVolume:
+        self._build()
+        return self._volume
+
+    @property
+    def storage(self) -> StorageManager:
+        self._build()
+        return self._storage
 
     @property
     def mapper(self):
-        """The placed mapper (built on first use; the allocation lands
-        on the fresh volume exactly as an eager build would, so lazy
-        construction is placement-identical)."""
-        if self._mapper is None:
-            self._mapper = build_mapper(
-                self._layout_entry, self.shape, self.volume, 0,
-                cell_blocks=self.cell_blocks, **self.layout_opts,
-            )
+        """The placed mapper (a
+        :class:`~repro.shard.ShardedMapper` when sharded)."""
+        self._build()
         return self._mapper
 
-    @mapper.setter
-    def mapper(self, value) -> None:
-        self._mapper = value
+    def _derive(self, **changes) -> "Dataset":
+        """A new dataset of this spec with ``changes`` applied; the
+        receiver is untouched."""
+        if "cache" not in changes and self._storage is not None \
+                and self._storage.cache is not None \
+                and self._spec.cache is None:
+            # a pool wired into storage.cache by hand is not part of the
+            # spec; dropping it silently would run the derived
+            # experiment uncached
+            raise DatasetError(
+                "a derived dataset builds its stack from the spec and "
+                "cannot carry a hand-wired pool; derive first, then set "
+                "storage.cache (or use with_cache)"
+            )
+        spec = replace(self._spec, **changes)
+        if spec.replicas is not None and spec.replicas["k"] > spec.n_disks:
+            k = spec.replicas["k"]
+            raise DatasetError(
+                f"k={k} copies need at least k member disks; the "
+                f"dataset has {spec.n_disks} (with_shards({k}) or more "
+                f"first)"
+            )
+        return Dataset(spec)
 
     # ------------------------------------------------------------------
-    # cloning
+    # layouts
     # ------------------------------------------------------------------
 
     def with_layout(self, layout: str, **layout_opts) -> "Dataset":
         """The same dataset under another registered mapping.
 
-        A fresh, identical volume is built from the same drive factory so
-        both layouts occupy the same LBN region of identical disks — the
-        fairness condition of the paper's evaluation.  The clone carries
-        the parent's seed, so unseeded ``run()`` calls see the same
-        generator sequence on both objects, and the parent's
-        :meth:`configure_store` options, so update experiments stay
-        comparable (the store's *contents* are not copied — each layout
-        starts from the same empty placement).
+        Like every derived dataset it builds a fresh, identical volume
+        from the same drive factory, so both layouts occupy the same LBN
+        region of identical disks — the fairness condition of the
+        paper's evaluation — and it carries the rest of the spec (seed,
+        shards, replicas, cache, telemetry, ingest and store options),
+        each instantiated privately.
         """
-        clone = Dataset(
-            shape=self.shape, layout=layout,
-            drive=(self.drive_name, self._drive_factory),
-            cell_blocks=self.cell_blocks,
-            depth=self.depth, seed=self.seed, layout_opts=layout_opts,
-            **self._sm_opts,
-        )
-        clone._store_opts = dict(self._store_opts)
-        if self._ingest_spec is not None:
-            # same ingest spec (stream/loader/knobs) on the clone, so
-            # per-layout ingest comparisons share their write workload
-            clone._ingest_spec = dict(self._ingest_spec)
-        if self._shard_spec is not None:
-            # same declustering on a fresh identical multi-disk volume;
-            # seeding the replica spec first lets with_shards delegate
-            # to with_replication and build the stack exactly once
-            # (with_shards re-attaches the cache spec itself)
-            if self._replica_spec is not None:
-                clone._replica_spec = dict(self._replica_spec)
-            clone.with_shards(**self._shard_spec)
-        if self._cache_spec is not None:
-            # same cache configuration, fresh private pool: layouts
-            # compete on placement, not on each other's cache contents
-            clone.with_cache(**self._cache_spec)
-        if self._obs_spec is not None:
-            # same telemetry configuration, fresh private tracer: each
-            # layout's spans and metrics are its own recording
-            clone.with_telemetry(**self._obs_spec)
-        return clone
+        LAYOUTS.get(layout)
+        return self._derive(layout=str(layout),
+                            layout_opts=dict(layout_opts))
 
     # ------------------------------------------------------------------
     # sharding (scale-out across member disks)
@@ -377,100 +470,82 @@ class Dataset:
 
     def with_shards(self, n_shards: int, strategy: str = "disk_modulo",
                     *, chunk_shape=None) -> "Dataset":
-        """Decluster the dataset across ``n_shards`` identical member
-        disks (chainable).
+        """This dataset declustered across ``n_shards`` identical member
+        disks.
 
-        The volume is rebuilt with ``n_shards`` drives from the same
-        factory, a :class:`~repro.shard.ShardMap` assigns each chunk a
-        disk via the registered ``strategy``
+        The volume holds ``n_shards`` drives from the same factory, a
+        :class:`~repro.shard.ShardMap` assigns each chunk a disk via the
+        registered ``strategy``
         (:data:`repro.lvm.striping.STRATEGIES`: ``round_robin``,
         ``disk_modulo``, ``cube_aligned``), and queries execute
         scatter-gather (per-disk sub-plans in parallel, query time =
         makespan over drives).  ``chunk_shape`` overrides the default
         last-axis slab chunking.  ``with_shards(1)`` runs the full shard
         machinery but is **bit-identical** to the unsharded stack — the
-        parity the shard regression tests pin.  An attached cache spec
-        is re-instantiated on the new stack (fresh pool(s)).  Online
+        parity the shard regression tests pin.  Replication, cache and
+        telemetry specs carry over onto the new disk count.  Online
         updates are not available on sharded datasets.
         """
-        from repro.shard import ShardMap, ShardedStorageManager
+        from repro.lvm.striping import STRATEGIES
+        from repro.shard import ShardMap
 
         if self._store is not None:
             raise DatasetError(
                 "cannot shard after the cell store was created"
             )
-        if self.storage.cache is not None and self._cache_spec is None:
-            # a hand-wired pool (storage.cache = BufferPool(...)) cannot
-            # be re-instantiated for the new volume; dropping it silently
-            # would run the sharded experiment uncached
-            raise DatasetError(
-                "with_shards rebuilds the storage manager and cannot "
-                "carry a hand-wired pool; shard first, then set "
-                "storage.cache (or use with_cache)"
-            )
         n = int(n_shards)
         if n < 1:
             raise DatasetError("n_shards must be >= 1")
-        # build the whole new stack in locals and commit only once
-        # everything validated: a failed call (unknown strategy, bad
-        # chunk shape, exhausted volume) must leave the dataset intact
-        entry = self._strategy_entry(strategy)
+        entry = (STRATEGIES.get(strategy) if isinstance(strategy, str)
+                 else strategy)
         align = None
-        if chunk_shape is None and entry is not None \
-                and entry.align_cubes \
-                and self._layout_entry.wiring == "volume":
+        if chunk_shape is None and getattr(entry, "align_cubes", False) \
+                and LAYOUTS.get(self.layout).wiring == "volume":
             # the basic-cube granule that keeps every cube intact on
-            # one disk; ShardMap.build picks the aligned split axis.
-            # A 1-disk probe volume suffices — the granule depends only
-            # on the (identical) drives' zones and adjacency depth
-            align = self._basic_cube_sides(
-                LogicalVolume([self._drive_factory()], depth=self.depth)
-            )
-        shard_map = ShardMap.build(
+            # one disk; ShardMap.build picks the aligned split axis
+            align = self._basic_cube_sides()
+        # the map is part of the spec, so derived datasets (other
+        # layouts included) rebuild the identical chunk grid — the
+        # fairness condition for cross-layout comparisons
+        return self._derive(shard_map=ShardMap.build(
             self.shape, n, strategy, chunk_shape=chunk_shape, align=align
+        ))
+
+    def _basic_cube_sides(self) -> tuple[int, ...]:
+        """The basic-cube sides K the unsharded MultiMap placement would
+        plan (outer-zone candidate) — the ``cube_aligned`` granule:
+        chunk boundaries land on this plan's cube boundaries, so
+        sharding never cuts through what the single-disk layout would
+        have kept as one cube.  (Each chunk's mapper then plans its own
+        cubes for the chunk's dimensions.)  A 1-disk probe volume
+        suffices: the granule depends only on the identical drives'
+        zones and adjacency depth."""
+        from repro.core.planner import plan_basic_cube
+
+        volume = LogicalVolume([self._spec.drive_factory()],
+                               depth=self.depth)
+        zone_infos = volume.zones(0)
+        t_outer = zone_infos[0].track_length // self.cell_blocks
+        min_tracks = min(z.tracks for z in zone_infos)
+        plan = plan_basic_cube(
+            self.shape, t_outer, min_tracks, volume.depth(0),
+            strategy=self._spec.layout_opts.get("strategy", "compact"),
         )
-        # record the RESOLVED chunk shape (chunk 0 is always full-size),
-        # so with_layout clones rebuild the identical chunk grid even
-        # when this layout's alignment shaped the default — the fairness
-        # condition for cross-layout comparisons
-        new_spec = dict(
-            n_shards=n, strategy=strategy,
-            chunk_shape=shard_map.chunks[0].shape,
-        )
-        if self._replica_spec is not None:
-            # re-replicate on the new disk count: validate k BEFORE
-            # committing anything (a failed call must leave the dataset
-            # intact), then delegate the whole build to with_replication
-            # so primaries, pools, and replicas are constructed once
-            spec = self._replica_spec
-            self._validate_replica_k(int(spec["k"]), n)
-            old_shard, self._shard_spec = self._shard_spec, new_spec
-            self._replica_spec = None
-            try:
-                return self.with_replication(**spec)
-            except BaseException:
-                self._shard_spec = old_shard
-                self._replica_spec = spec
-                raise
-        volume = LogicalVolume(
-            [self._drive_factory() for _ in range(n)], depth=self.depth
-        )
-        storage = ShardedStorageManager(
-            volume, shard_map, self._layout_entry,
-            cell_blocks=self.cell_blocks, **self._sm_opts,
-            layout_opts=self.layout_opts,
-        )
-        # the SAME Telemetry object rides onto the new manager, so
-        # recordings span the reconfiguration
-        storage.obs = self.storage.obs
-        self.volume = volume
-        self.storage = storage
-        self.mapper = storage.mapper
-        self._shard_spec = new_spec
-        if self._cache_spec is not None:
-            # fresh pool(s) sized by the same spec on the new stack
-            self.with_cache(**self._cache_spec)
-        return self
+        return plan.K
+
+    @property
+    def n_shards(self) -> int:
+        """Member-disk count (1 for the unsharded stack)."""
+        return self._spec.n_disks
+
+    @property
+    def is_sharded(self) -> bool:
+        return self._spec.shard_map is not None
+
+    @property
+    def shard_map(self):
+        """The chunk-to-disk placement, or ``None`` when unsharded."""
+        return self._spec.shard_map
 
     # ------------------------------------------------------------------
     # replication (fault tolerance across member disks)
@@ -478,10 +553,10 @@ class Dataset:
 
     def with_replication(self, k: int, placement: str = "rotated",
                          read_policy: str = "primary") -> "Dataset":
-        """Keep ``k`` copies of every chunk on distinct member disks
-        (chainable; shard first).
+        """This dataset with ``k`` copies of every chunk on distinct
+        member disks (shard first).
 
-        The stack is rebuilt with a
+        The stack uses a
         :class:`~repro.replica.ReplicatedStorageManager`: copy 0 of
         every chunk stays exactly where :meth:`with_shards` placed it
         (replica mappers allocate after every primary), reads route to a
@@ -498,140 +573,43 @@ class Dataset:
         machinery but is **bit-identical** to the sharded stack — the
         parity ``tests/replica/test_parity.py`` pins.
         """
-        from repro.replica import (
-            PLACEMENTS,
-            READ_POLICIES,
-            ReplicatedStorageManager,
-        )
-        from repro.shard import ShardMap
+        from repro.replica import PLACEMENTS, READ_POLICIES
 
         if self._store is not None:
             raise DatasetError(
                 "cannot replicate after the cell store was created"
             )
-        if self._shard_spec is None:
+        if not self.is_sharded:
             raise DatasetError(
                 "with_replication needs a sharded dataset; call "
                 "with_shards(n) first (n >= k member disks)"
             )
-        if self.storage.cache is not None and self._cache_spec is None:
-            raise DatasetError(
-                "with_replication rebuilds the storage manager and "
-                "cannot carry a hand-wired pool; replicate first, then "
-                "set storage.cache (or use with_cache)"
-            )
         k = int(k)
         if k < 1:
             raise DatasetError("k must be >= 1")
-        n = int(self._shard_spec["n_shards"])
-        self._validate_replica_k(k, n)
-        # validate names before rebuilding, so a typo leaves the
-        # dataset untouched
         if isinstance(placement, str):
             PLACEMENTS.get(placement)
         if isinstance(read_policy, str):
             READ_POLICIES.get(read_policy)
-        volume = LogicalVolume(
-            [self._drive_factory() for _ in range(n)], depth=self.depth
-        )
-        shard_map = ShardMap.build(
-            self.shape, n, self._shard_spec["strategy"],
-            chunk_shape=self._shard_spec["chunk_shape"],
-        )
-        storage = ReplicatedStorageManager(
-            volume, shard_map, self._layout_entry,
+        return self._derive(replicas=dict(
             k=k, placement=placement, read_policy=read_policy,
-            cell_blocks=self.cell_blocks, **self._sm_opts,
-            layout_opts=self.layout_opts,
-        )
-        # same Telemetry, new manager — recordings span the rebuild
-        storage.obs = self.storage.obs
-        self.volume = volume
-        self.storage = storage
-        self.mapper = storage.mapper
-        self._replica_spec = dict(
-            k=k, placement=placement, read_policy=read_policy,
-        )
-        if self._cache_spec is not None:
-            # fresh pool(s) sized by the same spec on the new stack
-            self.with_cache(**self._cache_spec)
-        return self
-
-    @staticmethod
-    def _validate_replica_k(k: int, n: int) -> None:
-        """Shared k-vs-disk-count check (with_replication and the
-        re-shard delegation both gate on it *before* mutating)."""
-        if k > n:
-            raise DatasetError(
-                f"k={k} copies need at least k member disks; the "
-                f"dataset has {n} (with_shards({k}) or more first)"
-            )
+        ))
 
     @property
     def replication_k(self) -> int:
         """Copies per chunk (1 for the unreplicated stack)."""
-        return 1 if self._replica_spec is None else int(
-            self._replica_spec["k"]
+        return 1 if self._spec.replicas is None else int(
+            self._spec.replicas["k"]
         )
 
     @property
     def is_replicated(self) -> bool:
-        return self._replica_spec is not None
+        return self._spec.replicas is not None
 
     @property
     def replica_map(self):
         """The chunk-copy placement, or ``None`` when unreplicated."""
-        return (
-            None if self._replica_spec is None
-            else self.storage.replica_map
-        )
-
-    @staticmethod
-    def _strategy_entry(strategy):
-        """Resolve a strategy spec to its registry entry (None for
-        non-registered callables/entries passed through)."""
-        from repro.lvm.striping import STRATEGIES, StrategyEntry
-
-        if isinstance(strategy, StrategyEntry):
-            return strategy
-        if isinstance(strategy, str):
-            return STRATEGIES.get(strategy)
-        return None
-
-    def _basic_cube_sides(self, volume=None) -> tuple[int, ...]:
-        """The basic-cube sides K the unsharded MultiMap placement would
-        plan (outer-zone candidate) — the ``cube_aligned`` granule:
-        chunk boundaries land on this plan's cube boundaries, so
-        sharding never cuts through what the single-disk layout would
-        have kept as one cube.  (Each chunk's mapper then plans its own
-        cubes for the chunk's dimensions.)"""
-        from repro.core.planner import plan_basic_cube
-
-        volume = self.volume if volume is None else volume
-        zone_infos = volume.zones(0)
-        t_outer = zone_infos[0].track_length // self.cell_blocks
-        min_tracks = min(z.tracks for z in zone_infos)
-        plan = plan_basic_cube(
-            self.shape, t_outer, min_tracks, volume.depth(0),
-            strategy=self.layout_opts.get("strategy", "compact"),
-        )
-        return plan.K
-
-    @property
-    def n_shards(self) -> int:
-        """Member-disk count (1 for the unsharded stack)."""
-        return 1 if self._shard_spec is None else int(
-            self._shard_spec["n_shards"]
-        )
-
-    @property
-    def is_sharded(self) -> bool:
-        return self._shard_spec is not None
-
-    @property
-    def shard_map(self):
-        """The chunk-to-disk placement, or ``None`` when unsharded."""
-        return None if self._shard_spec is None else self.storage.shard_map
+        return self.storage.replica_map if self.is_replicated else None
 
     # ------------------------------------------------------------------
     # caching
@@ -640,7 +618,7 @@ class Dataset:
     def with_cache(self, capacity_blocks: int, policy: str = "lru",
                    prefetch: str = "none", scope: str = "shared",
                    **cache_opts) -> "Dataset":
-        """Attach a fresh :class:`~repro.cache.BufferPool` (chainable).
+        """This dataset with a fresh :class:`~repro.cache.BufferPool`.
 
         ``capacity_blocks == 0`` (the default state) detaches any pool
         — queries then run bit-identical to a dataset that never had
@@ -648,9 +626,9 @@ class Dataset:
         :data:`~repro.cache.POLICIES` / :data:`~repro.cache.PREFETCHERS`
         registries; extra keywords pass to the pool (e.g.
         ``service_ms_per_block``, ``scan_threshold``,
-        ``prefetch_opts={"steps": 8}``).  ``with_layout`` clones carry
-        the same spec with a private pool, keeping layout comparisons
-        fair.
+        ``prefetch_opts={"steps": 8}``).  Every dataset derived from
+        this one builds a private pool of the same spec, keeping layout
+        comparisons fair.
 
         ``scope`` picks the composition on sharded datasets:
         ``"shared"`` (default) is one host-side pool spanning every
@@ -658,7 +636,6 @@ class Dataset:
         :class:`~repro.cache.ShardedBufferPool` member of
         ``capacity_blocks`` frames (the per-controller cache of a disk
         array), so one shard's scan cannot evict another's working set.
-        ``with_shards`` re-instantiates the spec on the new disk count.
         """
         if capacity_blocks < 0:
             raise DatasetError("capacity_blocks must be >= 0")
@@ -667,59 +644,32 @@ class Dataset:
                 f"cache scope must be 'shared' or 'per_shard', "
                 f"got {scope!r}"
             )
-        from repro.cache import (
-            POLICIES,
-            PREFETCHERS,
-            BufferPool,
-            EvictionPolicy,
-            Prefetcher,
-            ShardedBufferPool,
-        )
+        from repro.cache import EvictionPolicy, Prefetcher
 
-        # with_layout clones re-instantiate this spec for their private
-        # pools, so it must be re-instantiable: a pre-built (stateful)
-        # policy/prefetcher object would be *shared* across clones and
-        # leak one layout's residency into another's measurements —
-        # wire such an object into storage.cache by hand instead
+        # every derived dataset re-instantiates this spec for its
+        # private pool, so it must be re-instantiable: a pre-built
+        # (stateful) policy/prefetcher object would be *shared* across
+        # datasets and leak one's residency into another's measurements
+        # — wire such an object into storage.cache by hand instead
         if isinstance(policy, EvictionPolicy) \
                 or isinstance(prefetch, Prefetcher):
             raise DatasetError(
                 "with_cache takes registered names or classes, not "
                 "instances; build a BufferPool directly for that"
             )
-        # validate names even on the capacity-0 path, so a typo in a
-        # sweep's baseline cell fails loudly instead of running uncached
-        if isinstance(policy, str):
-            POLICIES.get(policy)
-        if isinstance(prefetch, str):
-            PREFETCHERS.get(prefetch)
-        if not capacity_blocks:
-            self._cache_spec = None
-            self.storage.cache = None
-            return self
-
-        # construct the pool before committing the spec, so a rejected
-        # configuration leaves the dataset (and its describe()) unchanged
-        if scope == "per_shard":
-            pool = ShardedBufferPool(
-                self.volume.n_disks, int(capacity_blocks),
-                policy=policy, prefetch=prefetch, **cache_opts,
-            )
-        else:
-            pool = BufferPool(
-                int(capacity_blocks), policy=policy, prefetch=prefetch,
-                **cache_opts,
-            )
-        self._cache_spec = dict(
+        cache = dict(
             capacity_blocks=int(capacity_blocks), policy=policy,
             prefetch=prefetch, **cache_opts,
         )
         if scope != "shared":
             # recorded only when non-default, so shared-pool specs (and
             # their report meta) keep the pre-shard JSON layout
-            self._cache_spec["scope"] = scope
-        self.storage.cache = pool
-        return self
+            cache["scope"] = scope
+        # a throwaway pool validates names and options now — even on
+        # the capacity-0 path, so a typo in a sweep's baseline cell
+        # fails loudly instead of running uncached
+        _make_pool(cache, self.n_shards)
+        return self._derive(cache=cache if capacity_blocks else None)
 
     @property
     def cache(self):
@@ -730,33 +680,10 @@ class Dataset:
     # telemetry (repro.obs) — per-query tracing and metrics
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _build_monitor(monitor):
-        """Instantiate the monitor half of a telemetry spec.
-
-        ``None``/``False`` -> no monitor; ``True`` -> a default
-        :class:`~repro.monitor.Monitor`; a mapping -> constructor
-        options.  Like cache specs, a pre-built instance is rejected so
-        :meth:`with_layout` clones can re-instantiate private state.
-        """
-        if monitor is None or monitor is False:
-            return None
-        from repro.monitor import Monitor
-
-        if monitor is True:
-            return Monitor()
-        if isinstance(monitor, dict):
-            return Monitor(**monitor)
-        raise DatasetError(
-            f"monitor must be True, False, None, or an options dict "
-            f"(got {type(monitor).__name__}); clones re-instantiate "
-            f"the spec, so pass options rather than a Monitor instance"
-        )
-
     def with_telemetry(self, trace: bool = True, metrics: bool = True,
                        exporter: str | None = None,
                        monitor=None) -> "Dataset":
-        """Attach a fresh :class:`~repro.obs.Telemetry` (chainable).
+        """This dataset with a fresh :class:`~repro.obs.Telemetry`.
 
         ``trace`` records one deterministic span tree per query (phases:
         prepare, cache, per-disk service with seek/rotate/transfer
@@ -771,35 +698,34 @@ class Dataset:
         :meth:`with_monitor`.  ``trace=False, metrics=False`` with no
         monitor detaches — the default state, in which every result and
         report is bit-identical to a build without telemetry (the same
-        parity guarantee ``with_cache(0)`` gives).  The handle survives
-        :meth:`with_shards`/:meth:`with_replication` rebuilds, and
-        :meth:`with_layout` clones carry the spec with a private
-        recording.
+        parity guarantee ``with_cache(0)`` gives).  Every dataset
+        derived from this one records into its own fresh handle of the
+        same spec; this dataset's handle keeps its own recording.
         """
-        mon = self._build_monitor(monitor)
-        if not trace and not metrics and mon is None:
-            self._obs_spec = None
-            self.storage.obs = None
-            return self
-        from repro.obs import Telemetry
-
-        self.storage.obs = Telemetry(
-            trace=trace, metrics=metrics, exporter=exporter,
-            monitor=mon,
-        )
-        self._obs_spec = dict(
-            trace=bool(trace), metrics=bool(metrics), exporter=exporter
-        )
-        if monitor is not None and monitor is not False:
+        if monitor is False:
+            monitor = None
+        if monitor is not None and monitor is not True \
+                and not isinstance(monitor, dict):
+            raise DatasetError(
+                f"monitor must be True, False, None, or an options dict "
+                f"(got {type(monitor).__name__}); derived datasets "
+                f"re-instantiate the spec, so pass options rather than "
+                f"a Monitor instance"
+            )
+        if not trace and not metrics and monitor is None:
+            return self._derive(obs=None)
+        obs = dict(trace=bool(trace), metrics=bool(metrics),
+                   exporter=exporter)
+        if monitor is not None:
             # gated so monitor-less specs (and their describe() JSON)
             # keep the pre-monitor layout
-            self._obs_spec["monitor"] = (
-                True if monitor is True else dict(monitor)
-            )
-        return self
+            obs["monitor"] = True if monitor is True else dict(monitor)
+        _make_telemetry(obs)  # bad exporter/monitor options fail now
+        return self._derive(obs=obs)
 
     def with_monitor(self, monitor=True, **options) -> "Dataset":
-        """Attach (or detach) continuous monitoring (chainable).
+        """This dataset with continuous monitoring attached (or
+        detached).
 
         Sugar over :meth:`with_telemetry`: merges a monitor into the
         current telemetry spec, attaching default trace + metrics when
@@ -809,7 +735,7 @@ class Dataset:
         ``monitor=False``/``None`` removes just the monitor (detaching
         telemetry entirely if nothing else was attached).
         """
-        spec = dict(self._obs_spec or {"trace": True, "metrics": True,
+        spec = dict(self._spec.obs or {"trace": True, "metrics": True,
                                        "exporter": None})
         spec.pop("monitor", None)
         if monitor is None or monitor is False:
@@ -818,22 +744,19 @@ class Dataset:
                     "with_monitor(False) removes the monitor; monitor "
                     "options make no sense alongside it"
                 )
-            if self._obs_spec is None:
-                return self
+            if self._spec.obs is None:
+                return self._derive()
             return self.with_telemetry(**spec)
-        if monitor is not True and not isinstance(monitor, dict):
-            raise DatasetError(
-                f"monitor must be True, False, None, or an options "
-                f"dict, got {type(monitor).__name__}"
-            )
-        opts = dict(monitor) if isinstance(monitor, dict) else {}
-        opts.update(options)
-        return self.with_telemetry(**spec, monitor=opts or True)
+        if monitor is True:
+            monitor = {}
+        if isinstance(monitor, dict):
+            monitor = {**monitor, **options} or True
+        return self.with_telemetry(**spec, monitor=monitor)
 
     @property
     def telemetry(self):
         """The attached :class:`~repro.obs.Telemetry`, or ``None``."""
-        return getattr(self.storage, "obs", None)
+        return self.storage.obs
 
     @property
     def monitor(self):
@@ -875,18 +798,16 @@ class Dataset:
 
     def with_ingest(self, stream="uniform", loader: str = "fixed",
                     **opts) -> "Dataset":
-        """Attach a streaming-ingest spec (chainable).
+        """This dataset with a streaming-ingest spec.
 
         ``stream``/``loader`` resolve through the
         :data:`repro.ingest.STREAMS` / :data:`repro.ingest.LOADERS`
         registries (validated now, so a typo'd sweep cell fails loudly);
         extra keywords (``n_points``, ``batch_points``,
         ``flush_points``, ``seed``, stream options like ``n_clusters``)
-        become the defaults of :meth:`ingest` runs.  The spec is carried
-        through :meth:`with_layout` clones — like the cache spec — so
-        per-layout ingest comparisons share their write workload, and it
-        survives :meth:`with_shards` / :meth:`with_replication` (which
-        mutate in place).
+        become the defaults of :meth:`ingest` runs.  Like the rest of
+        the spec it carries into every derived dataset, so per-layout
+        ingest comparisons share their write workload.
         """
         from repro.ingest import LOADERS, STREAMS
         from repro.ingest.streams import RecordStream
@@ -902,8 +823,8 @@ class Dataset:
             )
         if isinstance(loader, str):
             LOADERS.get(loader)
-        self._ingest_spec = dict(stream=stream, loader=loader, **opts)
-        return self
+        return self._derive(ingest=dict(stream=stream, loader=loader,
+                                        **opts))
 
     def ingest(self, **overrides) -> "IngestRun":
         """A fluent streaming-ingest run bound to this dataset (the
@@ -964,13 +885,12 @@ class Dataset:
     # ------------------------------------------------------------------
 
     def configure_store(self, **store_opts) -> "Dataset":
-        """Set :class:`CellStore` options (``points_per_cell``,
-        ``fill_factor``, ``reclaim_threshold``, ``max_overflow_pages``)
-        before first use; returns ``self`` for chaining."""
+        """This dataset with :class:`CellStore` options
+        (``points_per_cell``, ``fill_factor``, ``reclaim_threshold``,
+        ``max_overflow_pages``) for its store."""
         if self._store is not None:
             raise DatasetError("cell store already created")
-        self._store_opts = dict(store_opts)
-        return self
+        return self._derive(store_opts=dict(store_opts))
 
     def _store_mapper(self):
         """The cell-level mapper updates run against.
@@ -979,8 +899,8 @@ class Dataset:
         into several pieces even on one disk — have no single cell
         mapper, so updates are gated; a 1-shard dataset whose *lone*
         chunk spans the whole dataset has a chunk mapper that *is* the
-        full-dataset mapper (the pinned parity guarantee), so
-        un-sharding back to 1 restores update support.
+        full-dataset mapper (the pinned parity guarantee), so a 1-shard
+        dataset supports updates.
         """
         mapper = self.mapper
         chunk_mappers = getattr(mapper, "chunk_mappers", None)
@@ -997,10 +917,10 @@ class Dataset:
     @property
     def store(self) -> CellStore:
         """The lazily created cell store (default options unless
-        :meth:`configure_store` ran first)."""
+        :meth:`configure_store` derived this dataset)."""
         if self._store is None:
             self._store = CellStore(
-                self._store_mapper(), self.volume, **self._store_opts
+                self._store_mapper(), self.volume, **self._spec.store_opts
             )
         return self._store
 
@@ -1097,26 +1017,27 @@ class Dataset:
             "seed": self.seed,
             "n_cells": self.n_cells,
         }
-        if self._cache_spec is not None:
+        spec = self._spec
+        if spec.cache is not None:
             # gated so uncached datasets keep the pre-cache JSON layout
-            out["cache"] = dict(self._cache_spec)
+            out["cache"] = dict(spec.cache)
         if self.n_shards > 1:
             # gated on > 1: a 1-shard dataset reports as unsharded (it
             # is bit-identical to one, the pinned parity guarantee)
-            out["shards"] = self.storage.shard_map.describe()
+            out["shards"] = spec.shard_map.describe()
         if self.replication_k > 1:
             # gated on k > 1: a single-copy dataset reports as the
             # sharded stack it is bit-identical to
-            out["replicas"] = dict(self._replica_spec)
-        if self._obs_spec is not None:
+            out["replicas"] = dict(spec.replicas)
+        if spec.obs is not None:
             # gated so detached datasets keep the pre-obs JSON layout
-            out["obs"] = dict(self._obs_spec)
-        if self._ingest_spec is not None:
+            out["obs"] = dict(spec.obs)
+        if spec.ingest is not None:
             # gated so read-only datasets keep the pre-ingest JSON layout
             out["ingest"] = {
                 k: (v if isinstance(v, (str, int, float, bool, type(None)))
                     else str(v))
-                for k, v in self._ingest_spec.items()
+                for k, v in spec.ingest.items()
             }
         return out
 

@@ -8,9 +8,11 @@ background reorganisation, and returns an
 :class:`~repro.ingest.report.IngestReport`.
 
 When the resolved plan suggests a chunk shape (the adaptive loader on a
-sharded dataset) the run re-chunks the dataset *before* building the
-pipeline — the §4.6-style density sample picks the split axis, so a
-clustered stream lands whole clusters on one member disk.
+sharded dataset) the run ingests into a re-chunked dataset derived from
+the caller's (exposed as :attr:`IngestRun.dataset` afterwards; the
+caller's dataset keeps its grid) — the §4.6-style density sample picks
+the split axis, so a clustered stream lands whole clusters on one member
+disk.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class IngestRun:
     """
 
     def __init__(self, dataset, overrides: dict | None = None):
-        spec = dict(dataset._ingest_spec or {})
+        spec = dict(dataset._spec.ingest or {})
         spec.update(overrides or {})
         self.dataset = dataset
         self.stream_spec = spec.pop("stream", "uniform")
@@ -106,15 +108,13 @@ class IngestRun:
             plan.chunk_shape is not None
             and self.adapt_chunks
             and ds.is_sharded
-            and ds._store is None
             and tuple(plan.chunk_shape)
-            != tuple(ds.storage.shard_map.chunks[0].shape)
+            != tuple(ds.shard_map.chunks[0].shape)
         ):
-            # re-chunk on the sampled density before any byte lands;
-            # with_shards mutates in place and re-replicates if needed
-            spec = ds._shard_spec
-            ds.with_shards(
-                int(spec["n_shards"]), spec["strategy"],
+            # re-chunk on the sampled density before any byte lands:
+            # ingest into a derived dataset on the new grid
+            ds = self.dataset = ds.with_shards(
+                ds.n_shards, ds.shard_map.strategy,
                 chunk_shape=tuple(plan.chunk_shape),
             )
 

@@ -11,7 +11,7 @@ for the hit-ratio-vs-capacity experiment::
     from repro import Dataset
 
     ds = Dataset.create((64, 32, 32), layout="multimap", seed=42)
-    ds.with_cache(4096, policy="slru", prefetch="track")
+    ds = ds.with_cache(4096, policy="slru", prefetch="track")
     report = ds.random_beams(axis=1, n=5).repeats(3).run()
     print(ds.cache.stats.hit_ratio)
 """

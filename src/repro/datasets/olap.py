@@ -35,6 +35,7 @@ __all__ = [
     "OLAP_RAW_DIMS",
     "OLAP_ROLLED_DIMS",
     "OLAP_CHUNK_DIMS",
+    "CellValues",
     "OLAPCube",
     "paper_olap_queries",
 ]
@@ -47,14 +48,60 @@ OLAP_CHUNK_DIMS = (591, 75, 25, 25)
 AXIS_ORDERDATE, AXIS_PRODUCT, AXIS_NATION, AXIS_QUANTITY = range(4)
 
 
-@dataclass
-class OLAPCube:
-    """A dense aggregate cube (counts + profit sums per cell)."""
+@dataclass(frozen=True)
+class CellValues:
+    """A read-only, array-like view of one per-cell measure of a sparse
+    cube: only non-empty cells are stored, as sorted flat (C-order) cell
+    keys plus values, so memory follows the data present, not the
+    nominal grid.  Empty cells read as zero."""
 
     dims: tuple[int, ...]
-    counts: np.ndarray
-    profit: np.ndarray
+    keys: np.ndarray
+    values: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return int(np.prod(self.dims, dtype=np.int64))
+
+    def sum(self):
+        return self.values.sum()
+
+    def mean(self) -> float:
+        return float(self.values.sum() / self.size)
+
+    def __getitem__(self, index):
+        flat = np.ravel_multi_index(tuple(int(i) for i in index), self.dims)
+        i = int(np.searchsorted(self.keys, flat))
+        if i < len(self.keys) and self.keys[i] == flat:
+            return self.values[i]
+        return self.values.dtype.type(0)
+
+
+@dataclass
+class OLAPCube:
+    """A sparse aggregate cube (counts + profit sums per non-empty
+    cell), after the sparse-cube argument of "On the Scalability of
+    Multidimensional Databases": the paper's grid has 4.4e8 cells, a
+    fact table fills a few tens of thousands of them."""
+
+    dims: tuple[int, ...]
+    counts: CellValues
+    profit: CellValues
     rollup: int = 1
+
+    @classmethod
+    def _reduce(cls, dims, flat, counts, profit, rollup) -> "OLAPCube":
+        """Sum ``counts``/``profit`` over equal flat cell keys."""
+        keys, inverse = np.unique(flat, return_inverse=True)
+        summed = np.bincount(inverse, weights=counts, minlength=len(keys))
+        return cls(
+            dims,
+            CellValues(dims, keys, summed.astype(np.int64)),
+            CellValues(dims, keys, np.bincount(
+                inverse, weights=profit, minlength=len(keys)
+            )),
+            rollup,
+        )
 
     @classmethod
     def from_fact_table(cls, table: FactTable) -> "OLAPCube":
@@ -64,45 +111,30 @@ class OLAPCube:
         flat = np.ravel_multi_index(
             [coords[:, d] for d in range(4)], dims
         )
-        counts = np.bincount(
-            flat, minlength=int(np.prod(dims))
-        ).reshape(dims)
-        profit = np.bincount(
-            flat, weights=table.profit, minlength=int(np.prod(dims))
-        ).reshape(dims)
-        return cls(dims, counts, profit)
+        return cls._reduce(dims, flat, np.ones(len(flat)), table.profit, 1)
 
     def roll_up_orderdate(self, factor: int = 2) -> "OLAPCube":
         """Combine ``factor`` consecutive OrderDate cells into one (§5.5:
         "roll up along OrderDate to increase the number of points per
-        combination")."""
+        combination") — integer division of each non-empty cell's
+        OrderDate coordinate, then a reduce-by-key."""
         if factor < 1:
             raise DatasetError("factor must be >= 1")
-        n = self.dims[0]
-        pad = (-n) % factor
-        if pad:
-            pad_shape = (pad,) + self.dims[1:]
-            counts = np.concatenate(
-                [self.counts, np.zeros(pad_shape, self.counts.dtype)]
-            )
-            profit = np.concatenate(
-                [self.profit, np.zeros(pad_shape, self.profit.dtype)]
-            )
-        else:
-            counts, profit = self.counts, self.profit
-        new0 = (n + pad) // factor
-        new_dims = (new0,) + self.dims[1:]
-        counts = counts.reshape((new0, factor) + self.dims[1:]).sum(axis=1)
-        profit = profit.reshape((new0, factor) + self.dims[1:]).sum(axis=1)
-        return OLAPCube(new_dims, counts, profit, rollup=self.rollup * factor)
+        coords = list(np.unravel_index(self.counts.keys, self.dims))
+        coords[0] = coords[0] // factor
+        new_dims = (-(-self.dims[0] // factor),) + self.dims[1:]
+        return OLAPCube._reduce(
+            new_dims, np.ravel_multi_index(coords, new_dims),
+            self.counts.values, self.profit.values, self.rollup * factor,
+        )
 
     @property
     def mean_points_per_cell(self) -> float:
-        return float(self.counts.mean())
+        return self.counts.mean()
 
     def occupancy(self) -> float:
         """Fraction of cells holding at least one point."""
-        return float((self.counts > 0).mean())
+        return len(self.counts.keys) / self.counts.size
 
 
 def paper_olap_queries(

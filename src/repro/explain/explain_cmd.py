@@ -96,12 +96,12 @@ def run_explain(shape, *, layouts=("multimap",), drive: str = "minidrive",
     for layout in layouts:
         ds = Dataset.create(shape, layout=layout, drive=drive, seed=seed)
         if shards and int(shards) > 1:
-            ds.with_shards(int(shards))
+            ds = ds.with_shards(int(shards))
         if k and int(k) > 1:
-            ds.with_replication(int(k))
+            ds = ds.with_replication(int(k))
         if cache_blocks:
-            ds.with_cache(int(cache_blocks), policy=cache_policy,
-                          prefetch=prefetch)
+            ds = ds.with_cache(int(cache_blocks), policy=cache_policy,
+                               prefetch=prefetch)
         data["layouts"][layout] = ds.explain(query, analyze=analyze)
         if model_ds is None or layout == "multimap":
             model_ds = ds

@@ -17,7 +17,7 @@ identically, so an acknowledged batch survives ``fail_disk``::
     from repro import Dataset
 
     ds = Dataset.create((64, 16, 16), layout="multimap", seed=42)
-    ds.with_shards(2).with_replication(2)
+    ds = ds.with_shards(2).with_replication(2)
     report = ds.with_ingest(stream="clustered", loader="adaptive",
                             n_points=4096).ingest().run()
     print(report.mb_per_s)          # goodput: home-cube bytes / time

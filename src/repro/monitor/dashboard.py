@@ -45,8 +45,8 @@ def run_dashboard(shape, *, layout: str = "multimap",
         ds = ds.with_shards(int(shards))
     if k is not None and k > 1:
         ds = ds.with_replication(int(k))
-    ds.with_telemetry(trace=True, metrics=True, exporter=exporter,
-                      monitor={"window_ms": window_ms, "rules": rules})
+    ds = ds.with_telemetry(exporter=exporter,
+                           monitor={"window_ms": window_ms, "rules": rules})
     if arrival == "closed":
         arr = ClosedLoop(think_ms=think_ms)
     elif arrival == "poisson":

@@ -20,10 +20,10 @@ __all__ = ["Telemetry"]
 class Telemetry:
     """Per-dataset telemetry state: tracer, metrics, default exporter.
 
-    Constructed by :meth:`Dataset.with_telemetry` and attached to the
-    storage manager as ``storage.obs``; the same object survives
-    ``with_shards``/``with_replication`` rebuilds so recordings span
-    reconfiguration.
+    Built from a dataset's :meth:`Dataset.with_telemetry` spec and
+    attached to its storage manager as ``storage.obs``; every dataset
+    derived by a ``with_*`` call builds its own, so each recording
+    belongs to exactly one stack.
     """
 
     def __init__(self, *, trace: bool = True, metrics: bool = True,

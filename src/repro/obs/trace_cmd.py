@@ -107,8 +107,7 @@ def run_trace(shape, *, layout: str = "multimap",
     from repro.traffic import BurstyArrivals, ClosedLoop, PoissonArrivals
 
     ds = Dataset.create(tuple(shape), layout=layout, drive=drive,
-                        seed=seed)
-    ds.with_telemetry(trace=True, metrics=True, exporter=exporter)
+                        seed=seed).with_telemetry(exporter=exporter)
     if arrival == "closed":
         arr = ClosedLoop(think_ms=think_ms)
     elif arrival == "poisson":

@@ -18,7 +18,8 @@ dead disk's chunks from replicas onto a spare::
     from repro.replica import FailureInjector, plan_rebuild
 
     ds = Dataset.create((64, 16, 16), layout="multimap", seed=42)
-    ds.with_shards(3).with_replication(2, placement="locality_aligned")
+    ds = ds.with_shards(3).with_replication(2,
+                                            placement="locality_aligned")
     dead = FailureInjector(3, seed=7).kill(ds.storage)
     report = ds.random_beams(axis=2, n=8).run()   # fails over, degraded
     print(report.meta["replicas"]["stats"]["degraded_queries"])

@@ -12,7 +12,7 @@ in parallel, per-drive head state preserved, query time = makespan::
     from repro import Dataset
 
     ds = Dataset.create((64, 16, 16), layout="multimap", seed=42)
-    ds.with_shards(4, strategy="disk_modulo")
+    ds = ds.with_shards(4, strategy="disk_modulo")
     report = ds.random_beams(axis=2, n=8).run()
     print(report.meta["shards"]["stats"]["parallel_efficiency"])
 

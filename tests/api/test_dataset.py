@@ -294,7 +294,7 @@ class TestUpdates:
     def test_insert_delete_through_facade(self, small_model):
         ds = Dataset.create((8, 4, 4), layout="multimap",
                             drive=small_model, depth=DEPTH, seed=6)
-        ds.configure_store(points_per_cell=4, fill_factor=0.5)
+        ds = ds.configure_store(points_per_cell=4, fill_factor=0.5)
         assert ds.insert((1, 1, 1), 2) == "cell"
         assert ds.insert((1, 1, 1), 10) == "overflow"
         stats = ds.store_stats()
@@ -305,7 +305,7 @@ class TestUpdates:
     def test_bulk_load_and_reorganize(self, small_model, rng):
         ds = Dataset.create((8, 4, 4), layout="naive", drive=small_model,
                             depth=DEPTH, seed=6)
-        ds.configure_store(points_per_cell=4, fill_factor=0.5)
+        ds = ds.configure_store(points_per_cell=4, fill_factor=0.5)
         coords = np.stack(
             [rng.integers(0, s, size=600) for s in (8, 4, 4)], axis=1
         )
@@ -318,7 +318,7 @@ class TestUpdates:
     def test_read_cells_includes_overflow(self, small_model):
         ds = Dataset.create((8, 4, 4), layout="multimap",
                             drive=small_model, depth=DEPTH, seed=6)
-        ds.configure_store(points_per_cell=2)
+        ds = ds.configure_store(points_per_cell=2)
         ds.insert((2, 2, 2), 7)  # 1 cell + 3 overflow pages
         res = ds.read_cells((2, 2, 2))
         assert res.n_blocks == 4

@@ -86,17 +86,17 @@ class TestUnshardingRestoresUpdates:
         ds = make(small_model).with_shards(4)
         with pytest.raises(DatasetError):
             ds.store
-        ds.with_shards(1)
+        ds = ds.with_shards(1)
         assert ds.n_shards == 1
         assert ds.insert((0, 0, 0)) == "cell"
 
     def test_one_shard_store_matches_unsharded(self, small_model):
         """The 1-shard store works against the chunk mapper, which is
         placement-identical to the plain mapper."""
-        plain = make(small_model)
-        one = make(small_model).with_shards(1)
+        opts = dict(points_per_cell=4, fill_factor=0.5)
+        plain = make(small_model).configure_store(**opts)
+        one = make(small_model).with_shards(1).configure_store(**opts)
         for ds in (plain, one):
-            ds.configure_store(points_per_cell=4, fill_factor=0.5)
             ds.bulk_load([(0, 0, 0), (1, 1, 1)], counts=[2, 2])
             ds.insert((0, 0, 0))
         assert plain.store_stats() == one.store_stats()

@@ -12,7 +12,7 @@ from repro.traffic import QueryMix
 def cached_dataset(small_model):
     ds = Dataset.create((24, 12, 12), layout="multimap",
                         drive=small_model, seed=3)
-    ds.with_cache(4096, policy="lru", prefetch="none")
+    ds = ds.with_cache(4096, policy="lru", prefetch="none")
     return ds
 
 
@@ -62,7 +62,7 @@ class TestExecutorPath:
 class TestWithCacheFacade:
     def test_with_cache_zero_detaches(self, cached_dataset):
         assert cached_dataset.cache is not None
-        cached_dataset.with_cache(0)
+        cached_dataset = cached_dataset.with_cache(0)
         assert cached_dataset.cache is None
         assert "cache" not in cached_dataset.describe()
 
@@ -120,7 +120,7 @@ class TestPrefetchers:
     def test_track_prefetch_rounds_to_track(self, small_model):
         ds = Dataset.create((24, 12, 12), layout="multimap",
                             drive=small_model, seed=3)
-        ds.with_cache(8192, prefetch="track")
+        ds = ds.with_cache(8192, prefetch="track")
         ds.query().beam(0, fixed=(0, 2, 3)).run()
         geom = ds.volume.models[0].geometry
         # every block of every track the beam touched is now resident
@@ -133,8 +133,8 @@ class TestPrefetchers:
     def test_adjacent_prefetch_pulls_successors(self, small_model):
         ds = Dataset.create((24, 12, 12), layout="multimap",
                             drive=small_model, seed=3)
-        ds.with_cache(8192, prefetch="adjacent",
-                      prefetch_opts={"steps": 3})
+        ds = ds.with_cache(8192, prefetch="adjacent",
+                           prefetch_opts={"steps": 3})
         ds.query().beam(0, fixed=(0, 2, 3)).run()
         plan = ds.mapper.beam_plan(0, (0, 2, 3))
         adj = ds.volume.adjacency[0]
@@ -147,7 +147,7 @@ class TestPrefetchers:
         # rounding one beam out to its track caches the neighbor rows
         ds = Dataset.create((24, 12, 12), layout="naive",
                             drive=small_model, seed=3)
-        ds.with_cache(8192, prefetch="track")
+        ds = ds.with_cache(8192, prefetch="track")
         ds.query().beam(0, fixed=(0, 2, 3)).run()
         issued = ds.cache.stats.prefetch_issued
         assert issued > 0
@@ -161,7 +161,7 @@ class TestUpdateInvalidation:
     def test_insert_invalidates_cell_home_blocks(self, small_model):
         ds = Dataset.create((24, 12, 12), layout="multimap",
                             drive=small_model, seed=3)
-        ds.with_cache(4096)
+        ds = ds.with_cache(4096)
         ds.query().beam(1, fixed=(5, 0, 5)).run()
         import numpy as np
 
@@ -174,8 +174,8 @@ class TestUpdateInvalidation:
     def test_reorganize_clears_pool(self, small_model):
         ds = Dataset.create((24, 12, 12), layout="multimap",
                             drive=small_model, seed=3)
-        ds.with_cache(4096)
-        ds.configure_store(points_per_cell=8)
+        ds = ds.with_cache(4096)
+        ds = ds.configure_store(points_per_cell=8)
         ds.query().beam(1, fixed=(5, 0, 5)).run()
         assert ds.cache.occupancy > 0
         ds.insert((1, 1, 1))  # 1/8 underflows the reclaim threshold
@@ -186,7 +186,7 @@ class TestUpdateInvalidation:
     def test_bulk_load_clears_pool(self, small_model):
         ds = Dataset.create((24, 12, 12), layout="multimap",
                             drive=small_model, seed=3)
-        ds.with_cache(4096)
+        ds = ds.with_cache(4096)
         ds.query().beam(1, fixed=(5, 0, 5)).run()
         assert ds.cache.occupancy > 0
         ds.bulk_load([(0, 0, 0), (1, 0, 0)])
@@ -197,7 +197,7 @@ class TestTrafficIntegration:
     def test_shared_pool_across_clients(self, small_model):
         ds = Dataset.create((24, 12, 12), layout="multimap",
                             drive=small_model, seed=5)
-        ds.with_cache(4096, prefetch="track")
+        ds = ds.with_cache(4096, prefetch="track")
         report = (
             ds.traffic()
             .clients(4, mix=QueryMix.beams(1), queries=8)
@@ -216,7 +216,7 @@ class TestTrafficIntegration:
         still completes, with memory-only service time."""
         ds = Dataset.create((24, 12, 12), layout="multimap",
                             drive=small_model, seed=5)
-        ds.with_cache(8192)
+        ds = ds.with_cache(8192)
         from repro.query.workload import BeamQuery
 
         beam = BeamQuery(1, (7, 0, 7))
@@ -244,7 +244,7 @@ class TestTrafficIntegration:
     def test_engine_admits_on_completion(self, small_model):
         ds = Dataset.create((24, 12, 12), layout="naive",
                             drive=small_model, seed=5)
-        ds.with_cache(4096)
+        ds = ds.with_cache(4096)
         assert ds.cache.occupancy == 0
         ds.traffic().clients(1, mix=QueryMix.beams(1), queries=2).run()
         assert ds.cache.occupancy > 0

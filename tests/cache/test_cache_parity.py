@@ -109,7 +109,7 @@ class TestActiveCacheStillDeterministic:
         def run():
             ds = Dataset.create(shape, layout="multimap",
                                 drive=small_model, seed=21)
-            ds.with_cache(2048, policy="slru", prefetch="track")
+            ds = ds.with_cache(2048, policy="slru", prefetch="track")
             return (
                 ds.traffic()
                 .clients(3, mix=QueryMix.beams(1, 2), queries=6)

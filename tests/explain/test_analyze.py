@@ -50,7 +50,7 @@ class TestAnalyze:
     def test_private_telemetry_restored(self):
         ds = Dataset.create((48, 12, 12), layout="multimap",
                             drive="minidrive", seed=42)
-        ds.with_telemetry(trace=True)
+        ds = ds.with_telemetry(trace=True)
         tele = ds.telemetry
         queries_before = tele.tracer.n_queries
         ds.explain(BEAM, analyze=True)

@@ -107,7 +107,7 @@ class TestZeroSideEffects:
         assert run(False) == run(True)
 
     def test_cache_stats_untouched(self, ds):
-        ds.with_cache(1024)
+        ds = ds.with_cache(1024)
         ds.run([BEAM])
         stats_before = (ds.cache.stats.accesses, ds.cache.stats.hits)
         out = ds.explain(BEAM)
@@ -135,7 +135,8 @@ class TestZeroSideEffects:
     def test_restores_on_prepare_failure(self, ds):
         from repro.errors import ReproError
 
-        cache = ds.with_cache(512).cache
+        ds = ds.with_cache(512)
+        cache = ds.cache
         bad = BeamQuery(0, (0, 99, 99))
         with pytest.raises(ReproError):
             ds.explain(bad)

@@ -38,29 +38,32 @@ class TestWithIngest:
 
     def test_describe_key_gated_on_spec(self, plain):
         assert "ingest" not in plain.describe()
-        plain.with_ingest(stream="clustered", n_points=64)
+        plain = plain.with_ingest(stream="clustered", n_points=64)
         out = plain.describe()["ingest"]
         assert out["stream"] == "clustered"
         assert out["loader"] == "fixed"
         assert out["n_points"] == 64
 
     def test_spec_survives_with_layout_clone(self, plain):
-        plain.with_ingest(stream="clustered", n_points=64)
+        plain = plain.with_ingest(stream="clustered", n_points=64)
         clone = plain.with_layout("naive")
         assert clone.describe()["ingest"]["stream"] == "clustered"
-        clone._ingest_spec["stream"] = "uniform"
-        assert plain._ingest_spec["stream"] == "clustered"
+        # re-deriving the clone's spec changes neither the clone nor
+        # the dataset it came from
+        clone.with_ingest(stream="uniform")
+        assert clone.describe()["ingest"]["stream"] == "clustered"
+        assert plain.describe()["ingest"]["stream"] == "clustered"
 
     def test_spec_survives_sharding_and_replication(self, plain):
-        plain.with_ingest(stream="drifting")
-        plain.with_shards(2).with_replication(2)
+        plain = plain.with_ingest(stream="drifting")
+        plain = plain.with_shards(2).with_replication(2)
         assert plain.describe()["ingest"]["stream"] == "drifting"
 
 
 class TestIngestRun:
     def test_overrides_layer_on_spec(self, plain):
-        plain.with_ingest(stream="clustered", n_points=64,
-                          flush_points=32)
+        plain = plain.with_ingest(stream="clustered", n_points=64,
+                                  flush_points=32)
         run = plain.ingest(n_points=128)
         assert run.stream_spec == "clustered"
         assert run.n_points == 128
@@ -149,9 +152,13 @@ class TestAdaptiveRechunk:
                         n_points=256, flush_points=64)
         stream = run.build_stream()
         plan = LOADERS.get("adaptive").fn(ds, stream)
+        before = tuple(ds.storage.shard_map.chunks[0].shape)
         run.run()
-        assert tuple(ds.storage.shard_map.chunks[0].shape) \
+        assert tuple(run.dataset.storage.shard_map.chunks[0].shape) \
             == tuple(plan.chunk_shape)
+        # the re-chunk derived a new dataset; the caller's keeps its grid
+        assert tuple(ds.storage.shard_map.chunks[0].shape) == before
+        assert before != tuple(plan.chunk_shape)
 
     def test_adapt_chunks_false_keeps_the_grid(self, small_model):
         ds = Dataset.create(SHAPE, layout="zorder", drive=small_model,

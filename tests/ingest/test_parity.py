@@ -140,7 +140,7 @@ class TestCachedParity:
             ds = Dataset.create(SHAPE, layout="multimap",
                                 drive=small_model, seed=27) \
                 .with_shards(2)
-            ds.with_cache(2048, prefetch="track")
+            ds = ds.with_cache(2048, prefetch="track")
             if load:
                 attach_pipeline(ds)
             return (

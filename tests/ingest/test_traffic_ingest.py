@@ -140,8 +140,8 @@ class TestMetaGating:
 class TestSpecLayering:
     def test_with_ingest_spec_feeds_the_storm(self, small_model):
         ds = make(small_model, shards=2, k=1)
-        ds.with_ingest(stream="clustered", n_points=256,
-                       batch_points=128, flush_points=128)
+        ds = ds.with_ingest(stream="clustered", n_points=256,
+                            batch_points=128, flush_points=128)
         rep = ds.traffic().clients(1, queries=3).ingest().run()
         assert rep.meta["ingest"]["stream"]["stream"] == "clustered"
         assert rep.meta["ingest"]["stats"]["streamed_points"] == 256

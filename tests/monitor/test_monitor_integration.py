@@ -29,7 +29,7 @@ def storm(make_dataset, *, monitor=True, seed=42, rules=None):
     if rules is not None:
         opts["rules"] = rules
     if monitor:
-        ds.with_monitor(**opts)
+        ds = ds.with_monitor(**opts)
     report = (
         ds.traffic()
         .clients(2, queries=5, arrival=PoissonArrivals(rate_qps=10.0))
@@ -76,7 +76,7 @@ class TestFacade:
     def test_with_monitor_false_removes_just_the_monitor(
             self, make_dataset):
         ds = make_dataset().with_monitor(window_ms=25.0)
-        ds.with_monitor(False)
+        ds = ds.with_monitor(False)
         assert ds.monitor is None
         assert ds.telemetry is not None  # trace + metrics remain
         assert "monitor" not in ds.describe()["obs"]
@@ -86,7 +86,7 @@ class TestFacade:
         ds = make_dataset().with_telemetry(
             trace=False, metrics=False, monitor=True
         )
-        ds.with_monitor(False)
+        ds = ds.with_monitor(False)
         assert ds.telemetry is None
         assert "obs" not in ds.describe()
 
@@ -96,7 +96,7 @@ class TestFacade:
 
     def test_with_monitor_preserves_exporter_spec(self, make_dataset):
         ds = make_dataset().with_telemetry(exporter="jsonl")
-        ds.with_monitor(window_ms=25.0)
+        ds = ds.with_monitor(window_ms=25.0)
         assert ds.telemetry.exporter == "jsonl"
         assert ds.monitor.window_ms == 25.0
 
@@ -108,12 +108,19 @@ class TestFacade:
         with pytest.raises(MonitorError, match="window_ms"):
             make_dataset().with_monitor(window_ms=0.0)
 
-    def test_survives_shard_and_replication_rebuilds(
+    def test_shard_and_replication_derive_a_fresh_monitor(
             self, make_dataset):
-        ds = make_dataset().with_monitor()
+        ds = make_dataset().with_monitor(window_ms=25.0)
         mon = ds.monitor
-        ds = ds.with_shards(2).with_replication(2)
+        ds.random_beams(axis=1, n=2).run()
+        derived = ds.with_shards(2).with_replication(2)
+        # a fresh monitor of the same spec on the derived dataset
+        assert derived.monitor is not mon
+        assert derived.monitor.window_ms == 25.0
+        assert derived.describe()["obs"] == ds.describe()["obs"]
+        # the receiver's monitor still holds its own recording
         assert ds.monitor is mon
+        assert mon.describe()["summary"]["queries"] == 2
 
     def test_with_layout_clone_reinstantiates(self, make_dataset):
         ds = make_dataset().with_monitor(window_ms=25.0)

@@ -43,7 +43,7 @@ class TestBitIdentity:
         def run(attach):
             ds = make_dataset()
             if attach:
-                ds.with_monitor()
+                ds = ds.with_monitor()
             return ds.traffic().clients(3, queries=4).run().to_json()
 
         assert strip_monitor(run(True)) == json.loads(run(False))
@@ -52,7 +52,7 @@ class TestBitIdentity:
         def run(attach):
             ds = make_dataset().with_shards(2).with_replication(2)
             if attach:
-                ds.with_monitor()
+                ds = ds.with_monitor()
             return (
                 ds.traffic()
                 .clients(2, queries=4)
@@ -67,7 +67,7 @@ class TestBitIdentity:
         def run(attach):
             ds = make_dataset(layout="zorder", shape=(16, 8, 8), seed=7)
             if attach:
-                ds.with_monitor()
+                ds = ds.with_monitor()
             return ds.ingest(
                 stream="clustered", n_points=256, flush_points=64,
                 loader_opts={"points_per_cell": 1}, reorganize=True,

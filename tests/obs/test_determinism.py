@@ -54,7 +54,7 @@ class TestObserverInvariance:
         def storm(attach):
             ds = make_dataset().with_shards(2)
             if attach:
-                ds.with_telemetry()
+                ds = ds.with_telemetry()
             report = (
                 ds.traffic().clients(3, queries=3).slice_runs(8).run()
             )

@@ -39,7 +39,7 @@ class TestBitIdentity:
         def storm(attach):
             ds = make_dataset()
             if attach:
-                ds.with_telemetry()
+                ds = ds.with_telemetry()
             return ds.traffic().clients(3, queries=4).run().to_json()
 
         assert strip_obs(storm(True)) == json.loads(storm(False))
@@ -48,7 +48,7 @@ class TestBitIdentity:
         def storm(attach):
             ds = make_dataset().with_shards(2).with_replication(2)
             if attach:
-                ds.with_telemetry()
+                ds = ds.with_telemetry()
             return (
                 ds.traffic()
                 .clients(2, queries=4)
@@ -63,7 +63,7 @@ class TestBitIdentity:
         def run(attach):
             ds = make_dataset(layout="zorder", shape=(16, 8, 8), seed=7)
             if attach:
-                ds.with_telemetry()
+                ds = ds.with_telemetry()
             return ds.ingest(
                 stream="clustered", n_points=256, flush_points=64,
                 loader_opts={"points_per_cell": 1}, reorganize=True,

@@ -33,9 +33,9 @@ class TestFacade:
     def test_attach_detach(self, make_dataset):
         ds = make_dataset()
         assert ds.telemetry is None
-        ds.with_telemetry()
+        ds = ds.with_telemetry()
         assert ds.telemetry is not None
-        ds.with_telemetry(trace=False, metrics=False)
+        ds = ds.with_telemetry(trace=False, metrics=False)
         assert ds.telemetry is None
 
     def test_meta_obs_gated(self, make_dataset):
@@ -51,23 +51,33 @@ class TestFacade:
         assert ds.describe()["obs"] == {
             "trace": True, "metrics": True, "exporter": "chrome",
         }
-        ds.with_telemetry(trace=False, metrics=False)
+        ds = ds.with_telemetry(trace=False, metrics=False)
         assert "obs" not in ds.describe()
 
-    def test_with_shards_keeps_the_same_handle(self, make_dataset):
+    def test_with_shards_derives_a_fresh_handle(self, make_dataset):
         ds = make_dataset().with_telemetry()
         tele = ds.telemetry
         ds.random_beams(axis=1, n=1).run()
-        ds.with_shards(2)
-        assert ds.telemetry is tele  # recordings span the rebuild
-        ds.random_beams(axis=1, n=1).run()
-        assert tele.tracer.n_queries == 2
+        sharded = ds.with_shards(2)
+        # the derived dataset records into a fresh handle of the same spec
+        assert sharded.telemetry is not tele
+        assert sharded.describe()["obs"] == ds.describe()["obs"]
+        sharded.random_beams(axis=1, n=1).run()
+        assert sharded.telemetry.tracer.n_queries == 1
+        # the receiver's handle still holds its own recording
+        assert ds.telemetry is tele
+        assert tele.tracer.n_queries == 1
 
-    def test_with_replication_keeps_the_same_handle(self, make_dataset):
+    def test_with_replication_derives_a_fresh_handle(self, make_dataset):
         ds = make_dataset().with_telemetry().with_shards(2)
         tele = ds.telemetry
-        ds.with_replication(2)
+        ds.random_beams(axis=1, n=1).run()
+        replicated = ds.with_replication(2)
+        assert replicated.telemetry is not tele
+        assert replicated.describe()["obs"] == ds.describe()["obs"]
+        assert replicated.telemetry.tracer.n_queries == 0
         assert ds.telemetry is tele
+        assert tele.tracer.n_queries == 1
 
     def test_with_layout_clone_gets_fresh_telemetry(self, make_dataset):
         ds = make_dataset().with_telemetry(exporter="jsonl")
@@ -99,7 +109,7 @@ class TestIngestSpans:
         # one point per cell forces overflow chains, so the reorganise
         # pass has real folding work to record
         ds = make_dataset(layout="zorder", shape=(16, 8, 8), seed=7)
-        ds.with_telemetry()
+        ds = ds.with_telemetry()
         report = ds.ingest(
             stream="clustered", n_points=256, flush_points=64,
             loader_opts={"points_per_cell": 1}, reorganize=True,

@@ -45,14 +45,14 @@ class TestFacadeWiring:
         ds = build(small_model, k=2, read_policy="round_robin")
         clone = ds.with_layout("zorder")
         assert clone.replication_k == 2
-        assert clone._replica_spec == ds._replica_spec
+        assert clone.describe()["replicas"] == ds.describe()["replicas"]
         assert clone.replica_map.k == 2
         # fresh stack: the clone's storage is its own
         assert clone.storage is not ds.storage
 
     def test_resharding_reapplies_replication(self, small_model):
         ds = build(small_model, n=3, k=2)
-        ds.with_shards(4)
+        ds = ds.with_shards(4)
         assert ds.n_shards == 4
         assert ds.replication_k == 2
         assert ds.replica_map.n_disks == 4

@@ -128,7 +128,7 @@ class TestCachedParity:
             ds = Dataset.create(SHAPE, layout="multimap",
                                 drive=small_model, seed=21).with_shards(2)
             if replicate:
-                ds.with_replication(1)
+                ds = ds.with_replication(1)
             return ds.with_cache(2048, policy="slru", prefetch="track")
 
         r_shard = build(False).query().random_beams(axis=1, n=6) \
@@ -142,7 +142,7 @@ class TestCachedParity:
             ds = Dataset.create(SHAPE, layout="multimap",
                                 drive=small_model, seed=23).with_shards(2)
             if replicate:
-                ds.with_replication(1)
+                ds = ds.with_replication(1)
             return ds.with_cache(1024, scope="per_shard")
 
         r_shard = build(False).random_beams(axis=2, n=5).run()
@@ -154,8 +154,8 @@ class TestCachedParity:
             ds = Dataset.create(SHAPE, layout="multimap",
                                 drive=small_model, seed=27).with_shards(2)
             if replicate:
-                ds.with_replication(1)
-            ds.with_cache(2048, prefetch="track")
+                ds = ds.with_replication(1)
+            ds = ds.with_cache(2048, prefetch="track")
             return (
                 ds.traffic()
                 .clients(2, mix=QueryMix.beams(1, 2), queries=5)

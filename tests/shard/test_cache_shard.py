@@ -120,7 +120,7 @@ class TestDatasetComposition:
         assert ds.cache is None
         assert "cache" not in ds.describe()
         # and the dataset still shards cleanly afterwards
-        ds.with_shards(2)
+        ds = ds.with_shards(2)
         assert ds.cache is None
 
     def test_per_shard_capacity_zero_detaches(self, small_model):

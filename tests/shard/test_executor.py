@@ -222,7 +222,7 @@ class TestDatasetIntegration:
             ds.with_shards(2)
         # with_cache-managed specs still carry over fine
         ds.storage.cache = None
-        ds.with_cache(1024).with_shards(2)
+        ds = ds.with_cache(1024).with_shards(2)
         assert ds.cache is not None
 
     def test_cube_aligned_keeps_basic_cubes_whole(self, small_model):
@@ -231,7 +231,7 @@ class TestDatasetIntegration:
         ds = Dataset.create((24, 8, 200), layout="multimap",
                             drive=small_model, seed=1)
         K = ds._basic_cube_sides()
-        ds.with_shards(2, strategy="cube_aligned")
+        ds = ds.with_shards(2, strategy="cube_aligned")
         assert ds.shard_map.n_chunks > 1  # a real split happened
         split_axes = [
             d for d in range(3) if ds.shard_map.grid[d] > 1
@@ -249,7 +249,7 @@ class TestDatasetIntegration:
                             drive="minidrive", seed=1)
         K = ds._basic_cube_sides()
         assert all(k >= s for k, s in zip(K, ds.shape))
-        ds.with_shards(2, strategy="cube_aligned")
+        ds = ds.with_shards(2, strategy="cube_aligned")
         assert ds.shard_map.n_chunks == 1
 
     def test_seeded_runs_reproducible(self, small_model):

@@ -104,7 +104,7 @@ class TestCachedParity:
             ds = Dataset.create(SHAPE, layout="multimap",
                                 drive=small_model, seed=21)
             if shard:
-                ds.with_shards(1)
+                ds = ds.with_shards(1)
             return ds.with_cache(2048, policy="slru", prefetch="track")
 
         r_plain = build(False).query().random_beams(axis=1, n=6) \
