@@ -543,10 +543,12 @@ def _add_perf_parser(subparsers) -> None:
         help="plan-preparation throughput sweep per layout",
         description="Replay a seeded beam+range workload through each "
         "layout's vectorized plan-preparation fast path and report "
-        "plans/s, cells/s, the prep-vs-service split, and the speedup "
-        "over the pure-Python per-cell reference (asserted bit-identical"
-        " before timing is trusted).  With --check, gate the numbers "
-        "against a pinned baseline JSON and exit 1 on regression.",
+        "plans/s, cells/s, the prep-vs-service split, the speedup "
+        "over the pure-Python per-cell reference, and the drive SPTF "
+        "scheduler's speedup over its numpy-per-step reference (both "
+        "asserted bit-identical before timing is trusted).  With "
+        "--check, gate the numbers against a pinned baseline JSON and "
+        "exit 1 on regression.",
     )
     p.add_argument("--shape", default="64,64,32",
                    help="dataset dims, comma-separated (default 64,64,32)")
@@ -577,7 +579,7 @@ def _add_perf_parser(subparsers) -> None:
                    "against; exit 1 on regression")
     p.add_argument("--tolerance", type=float, default=0.5,
                    help="allowed fractional drop in speedup_vs_reference "
-                   "(default 0.5)")
+                   "and exec_speedup_vs_reference (default 0.5)")
     p.add_argument("--throughput-tolerance", type=float, default=0.9,
                    help="allowed fractional drop in absolute plans/s and "
                    "cells/s — wide by design, shared runners vary "

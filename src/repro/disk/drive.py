@@ -22,13 +22,34 @@ Three scheduling policies are provided for batches:
                 fetches: "the disk's internal scheduler will ensure that
                 they are fetched in the most efficient way").
 
-The batch path is vectorised: per-run geometry is computed with numpy and
-the only per-run Python work is the rotational-position recurrence, which
-is inherently sequential.
+The batch path is vectorised: per-run geometry is computed with numpy
+once per batch.  The fixed-order policies then only run the rotational
+recurrence, which is inherently sequential, as a tight loop over floats.
+
+SPTF is an exact angular scan.  A request's positioning cost is its seek
+plus the wait for its start angle ``a0`` to come around:
+``seek + ((a0 - (t + overhead + seek) / rot) % 1) * rot``.  That is its
+angular offset ahead of the head's phase ``((t + overhead) / rot) % 1``,
+in ms, plus a whole number of revolutions, so it is never below the
+offset.  The window is kept sorted by ``(a0, request index)``; each step
+bisects to the head's phase and walks forward cyclically, computing each
+candidate's exact cost, and stops once the next candidate's offset alone
+exceeds the best cost found — every later candidate lies further ahead.
+The walk starts :data:`SCAN_BACK_REV` behind the phase so that requests
+whose wait snaps to zero (see :data:`SNAP_REV`) are seen first, and the
+stop test keeps a :data:`SCAN_GUARD_MS` margin for float rounding.  Ties
+go to the lowest request index, so the scan picks exactly what a full
+argmin over the window picks (pinned against
+:func:`repro.perf.reference.reference_sptf`), while evaluating a
+handful of candidates per step instead of the whole window.
+
+Seek costs come from the profile's per-distance table
+(:attr:`repro.disk.mechanics.SeekProfile.table`) on every path.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +66,14 @@ __all__ = ["DiskDrive", "BatchResult", "RunTiming", "TrackCache"]
 # physically the block is reachable with no wait.  Real models keep margins
 # of a sector or more, far above this tolerance.
 SNAP_REV = 1e-7
+
+# The SPTF scan starts this far behind the head's phase, so requests that
+# sit just behind it (and snap to a zero wait) are evaluated first.
+SCAN_BACK_REV = 1e-6
+# Margin on the scan's stop test.  Rounding in the cost expression is
+# below 1e-15 of the clock, so this keeps the scan exact for simulated
+# clocks up to ~1e9 ms.
+SCAN_GUARD_MS = 1e-6
 
 
 def _wait_rev(delta: float) -> float:
@@ -67,26 +96,25 @@ class TrackCache:
 
     def __init__(self, capacity_tracks: int):
         self.capacity = int(capacity_tracks)
-        self._lru: dict[int, int] = {}
-        self._tick = 0
+        # buffered tracks, least recently used first
+        self._lru: dict[int, None] = {}
+
+    def _touch(self, track_first: int, track_last: int) -> None:
+        for t in range(track_first, track_last + 1):
+            self._lru.pop(t, None)
+            self._lru[t] = None
 
     def hit(self, track_first: int, track_last: int) -> bool:
         """All tracks of the run buffered?  Refreshes recency on hit."""
-        tracks = range(track_first, track_last + 1)
-        if all(t in self._lru for t in tracks):
-            for t in tracks:
-                self._tick += 1
-                self._lru[t] = self._tick
+        if all(t in self._lru for t in range(track_first, track_last + 1)):
+            self._touch(track_first, track_last)
             return True
         return False
 
     def insert(self, track_first: int, track_last: int) -> None:
-        for t in range(track_first, track_last + 1):
-            self._tick += 1
-            self._lru[t] = self._tick
+        self._touch(track_first, track_last)
         while len(self._lru) > self.capacity:
-            oldest = min(self._lru, key=self._lru.get)
-            del self._lru[oldest]
+            del self._lru[next(iter(self._lru))]
 
     def clear(self) -> None:
         self._lru.clear()
@@ -176,6 +204,14 @@ class DiskDrive:
         self.mechanics: DiskMechanics = model.mechanics
         self._rot = self.mechanics.rotation_ms
         self._overhead = self.mechanics.command_overhead_ms
+        self._head_switch = float(self.mechanics.head_switch_ms)
+        self._seek_table = self.mechanics.seek.table
+        if self._seek_table.size < self.geometry.n_cylinders:
+            raise GeometryError(
+                "seek profile max_cylinders is shorter than the geometry"
+            )
+        # scalar view of the same array: indexing yields Python floats
+        self._seek_ms = self._seek_table.data
         self._time_ms = 0.0
         self._track = 0
         self.cache = TrackCache(cache_tracks) if cache_tracks > 0 else None
@@ -252,25 +288,46 @@ class DiskDrive:
     # single-request service
     # ------------------------------------------------------------------
 
-    def _seek_component(self, target_track: int) -> float:
-        """Seek/settle cost to reach ``target_track`` from the current one."""
-        if target_track == self._track:
-            return 0.0
-        surfaces = self.geometry.surfaces
-        dist = abs(target_track // surfaces - self._track // surfaces)
-        if dist == 0:
-            return float(self.mechanics.head_switch_ms)
-        return float(self.mechanics.seek_time(dist))
+    def _positioning(
+        self, issue: float, from_cyl: int, from_track: int,
+        cyl: int, track: int, angle: float,
+    ) -> tuple[float, float]:
+        """Exact (seek_ms, rotation_ms) to reach ``angle`` on ``track``.
+
+        ``issue`` is the clock plus command overhead, when the arm starts
+        moving from ``from_track``.  :meth:`service`,
+        :meth:`positioning_time` and the SPTF scan all price a request
+        with this one expression, so they agree to the bit.
+        """
+        dist = cyl - from_cyl
+        if dist:
+            seek = self._seek_ms[dist if dist > 0 else -dist]
+        elif track != from_track:
+            seek = self._head_switch
+        else:
+            seek = 0.0
+        wait = (angle - (issue + seek) / self._rot) % 1.0
+        if wait > 1.0 - SNAP_REV:
+            wait = 0.0
+        return seek, wait * self._rot
+
+    def _position_on(self, lbn: int) -> tuple[int, float, float]:
+        """(track, seek_ms, rotation_ms) to position on ``lbn`` now."""
+        geom = self.geometry
+        surfaces = geom.surfaces
+        track = geom.track_of(lbn)
+        seek, wait = self._positioning(
+            self._time_ms + self._overhead,
+            self._track // surfaces, self._track,
+            track // surfaces, track, geom.start_angle(lbn),
+        )
+        return track, seek, wait
 
     def positioning_time(self, lbn: int) -> tuple[float, float]:
-        """(seek_ms, rotation_ms) to position on ``lbn`` — no state change."""
-        geom = self.geometry
-        geom.check_lbn(lbn)
-        track = geom.track_of(lbn)
-        seek = self._seek_component(track)
-        arrival = self._time_ms + seek
-        angle = geom.start_angle(lbn)
-        wait = _wait_rev(angle - arrival / self._rot) * self._rot
+        """(seek_ms, rotation_ms) :meth:`service` would charge to position
+        on ``lbn`` (command overhead included) — no state change."""
+        self.geometry.check_lbn(lbn)
+        _, seek, wait = self._position_on(lbn)
         return seek, wait
 
     def service(self, lbn: int, nblocks: int = 1) -> RunTiming:
@@ -281,8 +338,8 @@ class DiskDrive:
         geom.check_lbn(lbn)
         geom.check_lbn(lbn + nblocks - 1)
         start_ms = self._time_ms
-        track = geom.track_of(lbn)
         if self.cache is not None:
+            track = geom.track_of(lbn)
             last_track = geom.track_of(lbn + nblocks - 1)
             if self.cache.hit(track, last_track):
                 cost = self._overhead + nblocks * self.CACHE_BLOCK_MS
@@ -291,11 +348,8 @@ class DiskDrive:
                     start_ms, 0.0, 0.0, nblocks * self.CACHE_BLOCK_MS,
                     0.0, self._overhead,
                 )
-        seek = self._seek_component(track)
-        arrival = self._time_ms + self._overhead + seek
-        angle = geom.start_angle(lbn)
-        wait = _wait_rev(angle - arrival / self._rot) * self._rot
-        t = arrival + wait
+        track, seek, wait = self._position_on(lbn)
+        t = self._time_ms + self._overhead + seek + wait
         transfer, switch, end_track = self._transfer_scalar(lbn, nblocks, t)
         self._time_ms = t + transfer + switch
         self._track = end_track
@@ -387,13 +441,9 @@ class DiskDrive:
         }
 
     def _seek_vector(self, dist: np.ndarray, track_diff: np.ndarray) -> np.ndarray:
-        """Vectorised seek component: seek curve, head switch, or zero."""
-        seeks = self.mechanics.seek_time(dist)
-        seeks = np.where(
-            dist == 0,
-            np.where(track_diff != 0, self.mechanics.head_switch_ms, 0.0),
-            seeks,
-        )
+        """Vectorised seek component: seek table, head switch, or zero."""
+        seeks = self._seek_table[dist]
+        seeks[(dist == 0) & (track_diff != 0)] = self._head_switch
         return seeks
 
     def service_runs(
@@ -537,64 +587,83 @@ class DiskDrive:
     # -- windowed shortest-positioning-time-first -----------------------
 
     def _service_sptf(self, info, window: int, collect: bool) -> BatchResult:
+        if window < 1:
+            raise ValueError("sptf window must be >= 1")
         rot = self._rot
-        mech = self.mechanics
-        surfaces = self.geometry.surfaces
-        n = info["starts"].size
-        cyl0 = info["cyl0"]
-        track0 = info["track0"]
-        a0 = info["a0"]
-        cyle = info["cyle"]
-        tracke = info["tracke"]
-        xfer = info["transfer"] + info["switch"]
+        overhead = self._overhead
+        positioning = self._positioning
+        n = int(info["starts"].size)
+        cyl0 = info["cyl0"].tolist()
+        track0 = info["track0"].tolist()
+        a0 = info["a0"].tolist()
+        cyle = info["cyle"].tolist()
+        tracke = info["tracke"].tolist()
+        xfer = (info["transfer"] + info["switch"]).tolist()
 
-        # Admission in issue order: the window holds the first `window`
-        # not-yet-serviced requests, like a drive command queue.
-        pending = np.arange(n, dtype=np.int64)
-        in_window = min(window, n)
-        window_idx = list(range(in_window))
-        next_admit = in_window
+        # The window, like a drive command queue, holds the first `window`
+        # not-yet-serviced requests in issue order; it is kept as parallel
+        # lists sorted by (start angle, request index).  Admission is in
+        # index order, so a newcomer goes after any equal angle.
+        next_admit = min(window, n)
+        ids = sorted(range(next_admit), key=a0.__getitem__)
+        angles = [a0[i] for i in ids]
 
         t = self._time_ms
-        cur_cyl = self._track // surfaces
+        cur_cyl = self._track // self.geometry.surfaces
         cur_track = self._track
 
-        order = np.empty(n, dtype=np.int64)
-        per_request = np.empty(n, dtype=np.float64) if collect else None
+        order = [0] * n
+        per_request = [0.0] * n if collect else None
         seek_total = rot_total = 0.0
+        back_ms = SCAN_BACK_REV * rot + SCAN_GUARD_MS
 
         for step in range(n):
-            widx = np.asarray(window_idx, dtype=np.int64)
-            cand = pending[widx]
-            dist = np.abs(cyl0[cand] - cur_cyl)
-            seeks = mech.seek_time(dist)
-            seeks = np.where(
-                dist == 0,
-                np.where(track0[cand] != cur_track, mech.head_switch_ms, 0.0),
-                seeks,
-            )
-            arrival = t + self._overhead + seeks
-            waits = (a0[cand] - arrival / rot) % 1.0
-            waits = np.where(waits > 1.0 - SNAP_REV, 0.0, waits) * rot
-            costs = seeks + waits
-            k = int(np.argmin(costs))
-            chosen = int(cand[k])
+            issue = t + overhead
+            start = (issue / rot) % 1.0 - SCAN_BACK_REV
+            if start < 0.0:
+                start += 1.0
+            m = len(ids)
+            pos = bisect_left(angles, start)
+            best_cost = float("inf")
+            best_id = best_k = -1
+            best_seek = best_wait = 0.0
+            for j in range(m):
+                k = pos + j
+                if k >= m:
+                    k -= m
+                ahead = angles[k] - start
+                if ahead < 0.0:
+                    ahead += 1.0
+                # every cost is at least the candidate's angular offset
+                # ahead of the head's phase, and offsets only grow from here
+                if ahead * rot - back_ms > best_cost:
+                    break
+                i = ids[k]
+                seek, wait = positioning(
+                    issue, cur_cyl, cur_track, cyl0[i], track0[i], angles[k]
+                )
+                cost = seek + wait
+                if cost < best_cost or (cost == best_cost and i < best_id):
+                    best_cost, best_id, best_k = cost, i, k
+                    best_seek, best_wait = seek, wait
 
-            seek_total += float(seeks[k])
-            rot_total += float(waits[k])
-            service_time = (
-                self._overhead + float(costs[k]) + float(xfer[chosen])
-            )
+            seek_total += best_seek
+            rot_total += best_wait
+            service_time = overhead + best_cost + xfer[best_id]
             if collect:
                 per_request[step] = service_time
             t += service_time
-            cur_cyl = int(cyle[chosen])
-            cur_track = int(tracke[chosen])
-            order[step] = chosen
+            cur_cyl = cyle[best_id]
+            cur_track = tracke[best_id]
+            order[step] = best_id
 
-            del window_idx[k]
+            del ids[best_k]
+            del angles[best_k]
             if next_admit < n:
-                window_idx.append(next_admit)
+                a = a0[next_admit]
+                k = bisect_right(angles, a)
+                angles.insert(k, a)
+                ids.insert(k, next_admit)
                 next_admit += 1
 
         total = t - self._time_ms
@@ -608,9 +677,11 @@ class DiskDrive:
             rotation_ms=rot_total,
             transfer_ms=float(info["transfer"].sum()),
             switch_ms=float(info["switch"].sum()),
-            overhead_ms=self._overhead * n,
-            per_request_ms=per_request,
-            order=order if collect else None,
+            overhead_ms=overhead * n,
+            per_request_ms=(
+                np.array(per_request, dtype=np.float64) if collect else None
+            ),
+            order=np.array(order, dtype=np.int64) if collect else None,
         )
 
     # -- exact fallback for zone-crossing runs ---------------------------

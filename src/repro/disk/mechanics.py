@@ -24,6 +24,7 @@ region boundaries.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,6 +123,25 @@ class SeekProfile:
         if np.isscalar(distance) or np.ndim(distance) == 0:
             return float(out)
         return out
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """Read-only seek time per cylinder distance ``0..max_cylinders``.
+
+        Built by :meth:`time` itself, so ``table[d] == time(d)`` bit for
+        bit.  Equal profiles share one array: every disk of a volume
+        gets its own model instance from the same factory, and the
+        drive simulator looks seeks up here instead of re-evaluating
+        the curve.
+        """
+        return _shared_table(self)
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_table(profile: SeekProfile) -> np.ndarray:
+    table = profile.time(np.arange(profile.max_cylinders + 1))
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Plan-preparation fast path: memoized mapper tables, profiling
-probes, a pure-Python reference pipeline, and the pinned perf sweep.
+probes, reference pipelines, and the pinned perf sweep.
 
 ``repro.perf`` is the speed scoreboard of the repository:
 
@@ -11,10 +11,12 @@ probes, a pure-Python reference pipeline, and the pinned perf sweep.
                engine's event loop (off by default; zero overhead and
                bit-identical report JSON while disabled)
 ``reference``  the slow per-cell preparation pipeline vectorized plans
-               are pinned bit-identical against
+               are pinned bit-identical against, and the numpy-per-step
+               SPTF scheduler the drive's angular scan is pinned against
 ``sweep``      ``repro-bench perf``: plans/s, cells/s, prep-vs-service
-               split per layout, and the ``--check`` regression gate
-               against the checked-in ``BENCH_perf.json``
+               split, preparation and SPTF speedups per layout, and the
+               ``--check`` regression gate against the checked-in
+               ``BENCH_perf.json``
 
 ``memo`` and ``profile`` import nothing from the rest of the package so
 mappers can use them without cycles; the sweep (which builds Datasets)
@@ -39,6 +41,7 @@ from repro.perf.profile import (
 _LAZY_EXPORTS = {
     "reference_prepare": "repro.perf.reference",
     "reference_intersections": "repro.perf.reference",
+    "reference_sptf": "repro.perf.reference",
     "run_perf_sweep": "repro.perf.sweep",
     "render_perf_sweep": "repro.perf.sweep",
     "check_perf": "repro.perf.sweep",

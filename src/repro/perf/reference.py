@@ -1,4 +1,4 @@
-"""Pure-Python reference preparation the fast path is pinned against.
+"""Pure-Python references the fast paths are pinned against.
 
 :func:`reference_prepare` rebuilds a :class:`PreparedQuery` the slow,
 obviously-correct way: enumerate the query's cells one by one, translate
@@ -16,6 +16,13 @@ run merging) rather than on raw mapper plans: MultiMap's axis-0 beam
 plans may legitimately contain touching-but-unmerged runs per basic-cube
 column, which any honest per-cell reference would have merged already;
 after ``merge_gap=0`` coalescing the two descriptions coincide exactly.
+
+:func:`reference_sptf` is the drive's original windowed SPTF scheduler:
+each step evaluates the seek curve and rotational wait of every request
+in the window with numpy and takes the argmin.  The hypothesis suite
+asserts :meth:`~repro.disk.drive.DiskDrive.service_runs` picks the same
+request at every step, with bit-identical timings and head state, and
+the perf sweep times the two for its ``exec_speedup_vs_reference``.
 """
 
 from __future__ import annotations
@@ -25,12 +32,13 @@ import itertools
 import numpy as np
 
 from repro.core.multimap import MultiMapMapper
+from repro.disk.drive import SNAP_REV, BatchResult
 from repro.errors import QueryError
 from repro.mappings.base import RequestPlan
 from repro.query.executor import PreparedQuery
 from repro.query.workload import BeamQuery, RangeQuery
 
-__all__ = ["reference_prepare", "reference_intersections"]
+__all__ = ["reference_prepare", "reference_intersections", "reference_sptf"]
 
 
 def _reference_cells(mapper, query) -> list[tuple[int, ...]]:
@@ -135,3 +143,85 @@ def reference_intersections(shard_map, lo, hi) -> list[tuple]:
         else:
             out.append((chunk, tuple(llo), tuple(lhi)))
     return out
+
+
+def reference_sptf(drive, info, window: int, collect: bool) -> BatchResult:
+    """Windowed SPTF over ``drive._prepare_runs`` output, numpy per step.
+
+    Services the batch from the drive's current head state and leaves
+    the head where the last request ends, exactly like ``service_runs``
+    with ``policy="sptf"``.
+    """
+    rot = drive.mechanics.rotation_ms
+    overhead = drive.mechanics.command_overhead_ms
+    mech = drive.mechanics
+    surfaces = drive.geometry.surfaces
+    n = info["starts"].size
+    cyl0 = info["cyl0"]
+    track0 = info["track0"]
+    a0 = info["a0"]
+    cyle = info["cyle"]
+    tracke = info["tracke"]
+    xfer = info["transfer"] + info["switch"]
+
+    # Admission in issue order: the window holds the first `window`
+    # not-yet-serviced requests, like a drive command queue.
+    pending = np.arange(n, dtype=np.int64)
+    in_window = min(window, n)
+    window_idx = list(range(in_window))
+    next_admit = in_window
+
+    t0 = drive.now_ms
+    t = t0
+    cur_cyl = drive.current_track // surfaces
+    cur_track = drive.current_track
+
+    order = np.empty(n, dtype=np.int64)
+    per_request = np.empty(n, dtype=np.float64) if collect else None
+    seek_total = rot_total = 0.0
+
+    for step in range(n):
+        widx = np.asarray(window_idx, dtype=np.int64)
+        cand = pending[widx]
+        dist = np.abs(cyl0[cand] - cur_cyl)
+        seeks = mech.seek_time(dist)
+        seeks = np.where(
+            dist == 0,
+            np.where(track0[cand] != cur_track, mech.head_switch_ms, 0.0),
+            seeks,
+        )
+        arrival = t + overhead + seeks
+        waits = (a0[cand] - arrival / rot) % 1.0
+        waits = np.where(waits > 1.0 - SNAP_REV, 0.0, waits) * rot
+        costs = seeks + waits
+        k = int(np.argmin(costs))
+        chosen = int(cand[k])
+
+        seek_total += float(seeks[k])
+        rot_total += float(waits[k])
+        service_time = overhead + float(costs[k]) + float(xfer[chosen])
+        if collect:
+            per_request[step] = service_time
+        t += service_time
+        cur_cyl = int(cyle[chosen])
+        cur_track = int(tracke[chosen])
+        order[step] = chosen
+
+        del window_idx[k]
+        if next_admit < n:
+            window_idx.append(next_admit)
+            next_admit += 1
+
+    drive.reset(cur_track, t)
+    return BatchResult(
+        total_ms=t - t0,
+        n_requests=n,
+        n_blocks=int(info["lengths"].sum()),
+        seek_ms=seek_total,
+        rotation_ms=rot_total,
+        transfer_ms=float(info["transfer"].sum()),
+        switch_ms=float(info["switch"].sum()),
+        overhead_ms=overhead * n,
+        per_request_ms=per_request,
+        order=order if collect else None,
+    )

@@ -12,13 +12,19 @@ one full-box scan) through :meth:`StorageManager.prepare`, and records:
   :func:`repro.perf.reference.reference_prepare` on a capped subset of
   the workload.  Every subset plan is asserted bit-identical between
   the two pipelines before timing is trusted, so the number can never
-  describe diverging plans.
+  describe diverging plans;
+* ``exec_speedup_vs_reference`` — the drive's SPTF scheduler against
+  :func:`repro.perf.reference.reference_sptf` on every prepared plan
+  the drive services by SPTF, timed interleaved on fresh drives that
+  start from the same head draws.  Every result is asserted
+  bit-identical (order, per-request times, head state) first.  Layouts
+  without SPTF plans record ``None``.
 
-``speedup_vs_reference`` compares two measurements taken on the same
-machine in the same process, so it is stable across hardware —
-:func:`check_perf` gates primarily on it, with a very wide band on the
-absolute throughputs, which is what keeps the CI gate meaningful on
-shared runners.
+The two speedups compare measurements taken on the same machine in the
+same process, so they are stable across hardware — :func:`check_perf`
+gates primarily on them, with a very wide band on the absolute
+throughputs, which is what keeps the CI gate meaningful on shared
+runners.
 """
 
 from __future__ import annotations
@@ -27,9 +33,10 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.disk.drive import DiskDrive
 from repro.errors import BenchmarkError
 from repro.perf.memo import MEMO
-from repro.perf.reference import reference_prepare
+from repro.perf.reference import reference_prepare, reference_sptf
 from repro.query.workload import BeamQuery, RangeQuery, random_beam, \
     random_range_cube
 
@@ -72,6 +79,68 @@ def _assert_prepared_equal(fast, ref, layout, query) -> None:
             f"vectorized plan diverged from reference for layout "
             f"{layout!r} on {query!r}"
         )
+
+
+def _sptf_batches(storage, prepared) -> list:
+    """``(model, runs)`` for each prepared plan the drive schedules by SPTF
+    (zone-crossing batches take the drive's exact scalar path instead)."""
+    batches = []
+    for p in prepared:
+        if p.policy != "sptf":
+            continue
+        model = storage.volume.models[p.disk_index]
+        runs = DiskDrive(model)._prepare_runs(p.plan.starts, p.plan.lengths)
+        if not runs["cross_zone"].any():
+            batches.append((model, runs))
+    return batches
+
+
+def _same_batch(a, b) -> bool:
+    return (
+        a.total_ms == b.total_ms
+        and a.seek_ms == b.seek_ms
+        and a.rotation_ms == b.rotation_ms
+        and np.array_equal(a.per_request_ms, b.per_request_ms)
+        and np.array_equal(a.order, b.order)
+    )
+
+
+def _time_sptf(batches, window, repeats, seed, layout) -> tuple[float, float]:
+    """Best-of-``repeats`` ms to schedule ``batches`` with the drive's scan
+    and with :func:`reference_sptf`, interleaved, after asserting the two
+    agree bit for bit on every batch."""
+    rng = np.random.default_rng(seed)
+    heads = [DiskDrive(model).draw_position(rng) for model, _ in batches]
+
+    def run(schedule):
+        out = []
+        t0 = perf_counter()
+        for (model, runs), head in zip(batches, heads):
+            drive = DiskDrive(model)
+            drive.reset(*head)
+            res = schedule(drive, runs)
+            out.append((res, drive.now_ms, drive.current_track))
+        return perf_counter() - t0, out
+
+    def fast(drive, runs):
+        return drive._service_sptf(runs, window, True)
+
+    def ref(drive, runs):
+        return reference_sptf(drive, runs, window, True)
+
+    fast_best = ref_best = float("inf")
+    for _ in range(repeats):
+        fast_s, fast_out = run(fast)
+        ref_s, ref_out = run(ref)
+        fast_best = min(fast_best, fast_s)
+        ref_best = min(ref_best, ref_s)
+    for (a, a_now, a_track), (b, b_now, b_track) in zip(fast_out, ref_out):
+        if not (_same_batch(a, b) and a_now == b_now and a_track == b_track):
+            raise BenchmarkError(
+                f"SPTF scan diverged from reference_sptf for layout "
+                f"{layout!r}"
+            )
+    return fast_best * 1e3, ref_best * 1e3
 
 
 def run_perf_sweep(
@@ -152,6 +221,14 @@ def run_perf_sweep(
         for q, fast, ref in zip(subset, sub_fast, sub_ref):
             _assert_prepared_equal(fast, ref, layout, q)
 
+        batches = _sptf_batches(storage, prepared)
+        exec_speedup = None
+        if batches:
+            sptf_ms, sptf_ref_ms = _time_sptf(
+                batches, storage.window, repeats, seed, layout
+            )
+            exec_speedup = round(sptf_ref_ms / sptf_ms, 1)
+
         data[layout] = {
             "n_plans": len(queries),
             "n_cells": int(total_cells),
@@ -167,6 +244,8 @@ def run_perf_sweep(
             "ref_ms": round(ref_ms, 3),
             "fast_ms": round(fast_ms, 3),
             "speedup_vs_reference": round(ref_ms / fast_ms, 1),
+            "sptf_batches": len(batches),
+            "exec_speedup_vs_reference": exec_speedup,
         }
     data["meta"] = {
         "shape": list(shape),
@@ -188,7 +267,7 @@ def render_perf_sweep(data: dict) -> str:
     from repro.bench.reporting import render_table
 
     headers = ["layout", "plans/s", "cells/s", "prep ms", "exec ms",
-               "prep share", "speedup vs ref"]
+               "prep share", "speedup vs ref", "exec vs ref"]
     rows = []
     for layout, row in data.items():
         if layout == "meta":
@@ -201,6 +280,10 @@ def render_perf_sweep(data: dict) -> str:
             f"{row['exec_ms']:.2f}",
             f"{row['prep_share']:.3f}",
             f"{row['speedup_vs_reference']:.1f}x",
+            (
+                "-" if row["exec_speedup_vs_reference"] is None
+                else f"{row['exec_speedup_vs_reference']:.1f}x"
+            ),
         ])
     return render_table(headers, rows)
 
@@ -214,9 +297,11 @@ def check_perf(
 ) -> list[str]:
     """Compare a sweep against a pinned baseline; returns violations.
 
-    ``speedup_vs_reference`` is machine-relative (both pipelines timed
-    on the same box), so it gets the tight band: each layout must keep
-    at least ``(1 - tolerance)`` of the baseline speedup.  The absolute
+    ``speedup_vs_reference`` and ``exec_speedup_vs_reference`` are
+    machine-relative (both pipelines timed on the same box), so they get
+    the tight band: each layout must keep at least ``(1 - tolerance)``
+    of each baseline speedup (a baseline without SPTF plans records
+    ``None`` and is not gated).  The absolute
     throughputs only guard against catastrophic collapse — shared CI
     runners are allowed to be up to ``1 / (1 - throughput_tolerance)``
     times slower than the machine that produced the baseline.
@@ -231,14 +316,17 @@ def check_perf(
         if cur is None:
             violations.append(f"{layout}: missing from this sweep")
             continue
-        floor = base["speedup_vs_reference"] * (1 - tolerance)
-        if cur["speedup_vs_reference"] < floor:
-            violations.append(
-                f"{layout}: speedup_vs_reference "
-                f"{cur['speedup_vs_reference']:.1f}x fell below "
-                f"{floor:.1f}x (baseline "
-                f"{base['speedup_vs_reference']:.1f}x)"
-            )
+        for metric in ("speedup_vs_reference", "exec_speedup_vs_reference"):
+            if base.get(metric) is None:
+                continue
+            floor = base[metric] * (1 - tolerance)
+            value = cur.get(metric)
+            if value is None or value < floor:
+                shown = "none" if value is None else f"{value:.1f}x"
+                violations.append(
+                    f"{layout}: {metric} {shown} fell below "
+                    f"{floor:.1f}x (baseline {base[metric]:.1f}x)"
+                )
         for metric in ("plans_per_s", "cells_per_s"):
             floor = base[metric] * (1 - throughput_tolerance)
             if cur[metric] < floor:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.disk import DiskDrive, TrackCache
 
@@ -36,6 +38,36 @@ class TestTrackCache:
         c.insert(3, 3)   # evicts 2
         assert c.hit(1, 1)
         assert not c.hit(2, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        capacity=st.integers(1, 6),
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 9), st.integers(0, 3)),
+            max_size=60,
+        ),
+    )
+    def test_matches_tick_model(self, capacity, ops):
+        """Hits, refreshes and overflow evict exactly what a stamp-per-touch
+        LRU (evict the smallest stamp) evicts."""
+        cache = TrackCache(capacity)
+        stamps: dict[int, int] = {}
+        tick = 0
+        for is_insert, first, span in ops:
+            tracks = range(first, first + span + 1)
+            if is_insert:
+                cache.insert(first, first + span)
+            else:
+                buffered = all(t in stamps for t in tracks)
+                assert cache.hit(first, first + span) == buffered
+                if not buffered:
+                    continue
+            for t in tracks:
+                tick += 1
+                stamps[t] = tick
+            while len(stamps) > capacity:
+                del stamps[min(stamps, key=stamps.get)]
+            assert list(cache._lru) == sorted(stamps, key=stamps.get)
 
     def test_clear(self):
         c = TrackCache(4)

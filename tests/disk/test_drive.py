@@ -81,6 +81,42 @@ class TestSingleRequests:
         small_drive.positioning_time(500)
         assert (small_drive.now_ms, small_drive.current_track) == before
 
+    @pytest.mark.parametrize("name", ["atlas10k3", "cheetah36es", "toy",
+                                      "minidrive"])
+    def test_positioning_time_is_what_service_charges(self, name):
+        from repro.api.registry import DRIVES
+
+        model = DRIVES.get(name).factory()
+        geom = model.geometry
+        for track, clock, lbn in [
+            (0, 0.0, 0),
+            (min(100, geom.n_tracks - 1), 3.3, geom.n_lbns // 2),
+            (geom.n_tracks - 1, 12_345.678, geom.n_lbns - 1),
+            (geom.n_tracks // 3, 7.0, geom.n_lbns // 7),
+        ]:
+            drive = DiskDrive(model)
+            drive.reset(track, clock)
+            predicted = drive.positioning_time(lbn)
+            charged = drive.service(lbn)
+            assert predicted == (charged.seek_ms, charged.rotation_ms)
+
+    def test_positioning_time_counts_command_overhead(self):
+        from repro.disk import atlas_10k3
+
+        drive = DiskDrive(atlas_10k3())
+        drive.reset(100, 3.3)
+        seek, wait = drive.positioning_time(500_000)
+        assert wait == pytest.approx(3.142, abs=5e-4)
+
+    def test_rejects_seek_profile_shorter_than_geometry(self, small_model):
+        import dataclasses
+
+        seek = dataclasses.replace(small_model.mechanics.seek,
+                                   max_cylinders=50)
+        mech = dataclasses.replace(small_model.mechanics, seek=seek)
+        with pytest.raises(GeometryError, match="max_cylinders"):
+            DiskDrive(dataclasses.replace(small_model, mechanics=mech))
+
     def test_reset(self, small_drive):
         small_drive.service(1000)
         small_drive.reset()

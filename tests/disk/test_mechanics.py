@@ -55,6 +55,23 @@ class TestSeekProfile:
         scal = np.array([p.time(int(x)) for x in d])
         np.testing.assert_allclose(vec, scal)
 
+    @pytest.mark.parametrize("name", ["atlas10k3", "cheetah36es", "toy",
+                                      "minidrive"])
+    def test_table_is_the_curve_bit_for_bit(self, name):
+        from repro.api.registry import DRIVES
+
+        p = DRIVES.get(name).factory().mechanics.seek
+        d = np.arange(p.max_cylinders + 1)
+        assert np.array_equal(p.table, p.time(d))
+        assert all(p.table[x] == p.time(int(x)) for x in d[:: 97])
+
+    def test_table_is_shared_and_read_only(self):
+        a, b = profile(), profile()
+        assert a.table is b.table
+        assert profile(max_cylinders=20_000).table is not a.table
+        with pytest.raises(ValueError):
+            a.table[1] = 0.0
+
     def test_rejects_negative_settle(self):
         with pytest.raises(GeometryError):
             profile(settle_ms=-1.0)

@@ -41,11 +41,35 @@ def test_sweep_metrics_per_layout(sweep_data):
     assert "memo" in meta
 
 
+def test_exec_speedup_only_where_the_drive_runs_sptf(sweep_data):
+    # naive plans are ascending elevator passes; multimap ranges are SPTF
+    assert sweep_data["naive"]["sptf_batches"] == 0
+    assert sweep_data["naive"]["exec_speedup_vs_reference"] is None
+    assert sweep_data["multimap"]["sptf_batches"] >= 1
+    assert sweep_data["multimap"]["exec_speedup_vs_reference"] > 0
+
+
+def test_check_flags_exec_regressions(sweep_data):
+    inflated = json.loads(json.dumps(sweep_data))
+    inflated["multimap"]["exec_speedup_vs_reference"] *= 1000
+    violations = check_perf(sweep_data, inflated)
+    assert len(violations) == 1
+    assert violations[0].startswith("multimap: exec_speedup_vs_reference")
+
+
+def test_check_flags_lost_sptf_batches(sweep_data):
+    current = json.loads(json.dumps(sweep_data))
+    current["multimap"]["exec_speedup_vs_reference"] = None
+    [violation] = check_perf(current, sweep_data)
+    assert violation.startswith("multimap: exec_speedup_vs_reference none")
+
+
 def test_render_lists_every_layout(sweep_data):
     table = render_perf_sweep(sweep_data)
     assert "naive" in table
     assert "multimap" in table
     assert "speedup vs ref" in table
+    assert "exec vs ref" in table
 
 
 def test_check_against_itself_is_clean(sweep_data):
