@@ -857,9 +857,10 @@ class Dataset:
     def explain(self, query, *, analyze: bool = False) -> dict:
         """EXPLAIN (and optionally ANALYZE) one query on this dataset.
 
-        EXPLAIN is static and side-effect-free: the plan is prepared
-        against ghost state (live drives, cache policy/stats, replica
-        routing counters, and perf probes are all left untouched) and
+        EXPLAIN is static and side-effect-free: the plan comes from the
+        storage manager's pure planning step, without the commit that
+        books a query (live drives, cache policy/stats, replica routing
+        counters, and perf probes are all left untouched), and
         its run structure, access-pattern classification, predicted
         mechanical cost, expected cache hits, shard fan-out, and
         replica routing are returned as a JSON-friendly dict.  With

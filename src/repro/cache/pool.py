@@ -8,7 +8,7 @@ track-aligned prefetch turns one query's mechanical work into its
 neighbors' memory hits.
 
 The pool plugs into :class:`repro.query.executor.StorageManager` at the
-§5.2 issue-order stage: ``prepare_plan`` calls :meth:`filter_plan` to
+§5.2 issue-order stage: ``commit`` calls :meth:`filter_plan` to
 partition each prepared plan into *cached* blocks (served at
 ``service_ms_per_block``, the bus/DRAM cost) and a *miss plan* the drive
 services mechanically; after servicing, :meth:`admit_plan` installs the
@@ -36,6 +36,12 @@ from repro.errors import CacheError
 from repro.mappings.base import RequestPlan, coalesce_ranks
 
 __all__ = ["BufferPool", "CacheStats", "expand_plan"]
+
+
+def _stretches(hit_mask: np.ndarray) -> int:
+    """Maximal contiguous stretches of hit blocks ("cached runs")."""
+    starts = np.count_nonzero(np.diff(hit_mask.astype(np.int8)) == 1)
+    return int(starts) + int(hit_mask[0])
 
 
 def expand_plan(plan: RequestPlan) -> np.ndarray:
@@ -178,7 +184,7 @@ class BufferPool:
         return (int(disk), int(lbn)) in self.policy
 
     # ------------------------------------------------------------------
-    # the cache-filter step (called from prepare_plan)
+    # the cache-filter step (called from StorageManager.commit)
     # ------------------------------------------------------------------
 
     def filter_plan(
@@ -196,55 +202,30 @@ class BufferPool:
             return plan, 0, 0
         lbns = expand_plan(plan)
         d = int(disk)
-        policy = self.policy
         stats = self.stats
-        resident = self._resident.get(d)
-        if not resident:
-            # guaranteed all-miss (cold pool, or nothing cached for
-            # this disk): skip the membership test entirely
-            stats.accesses += int(lbns.size)
-            stats.misses += int(lbns.size)
+        stats.accesses += int(lbns.size)
+        hit_mask = self._hit_mask(d, lbns)
+        n_hits = 0 if hit_mask is None else int(hit_mask.sum())
+        stats.hits += n_hits
+        stats.misses += int(lbns.size) - n_hits
+        if n_hits == 0:
             return plan, 0, 0
-        # membership test scaled to the smaller side: set lookups for
-        # plans much smaller than the pool, vectorized np.isin (against
-        # a cached ndarray of the resident set) for large plans; only
-        # the hits (bounded by capacity) then need per-key Python work
+        # only the hits (bounded by capacity) need per-key Python work
         # for recency and prefetch accounting
-        if lbns.size * 8 < len(resident):
-            hit_mask = np.fromiter(
-                (lbn in resident for lbn in lbns.tolist()),
-                dtype=bool, count=lbns.size,
-            )
-        else:
-            arr = self._resident_arr.get(d)
-            if arr is None:
-                arr = np.fromiter(resident, dtype=np.int64,
-                                  count=len(resident))
-                self._resident_arr[d] = arr
-            hit_mask = np.isin(lbns, arr)
+        policy = self.policy
         for lbn in lbns[hit_mask].tolist():
             key = (d, lbn)
             policy.on_hit(key)
             if key in self._prefetched:
                 self._prefetched.discard(key)
                 stats.prefetch_hits += 1
-        n_hits = int(hit_mask.sum())
-        stats.accesses += int(lbns.size)
-        stats.hits += n_hits
-        stats.misses += int(lbns.size) - n_hits
-        if n_hits == 0:
-            return plan, 0, 0
         stats.served_ms += n_hits * self.service_ms_per_block
         # coalesce_ranks is order-preserving (it only breaks on LBN
         # discontinuity), so fifo plans keep their issue order
         starts, lengths = coalesce_ranks(lbns[~hit_mask])
         miss = RequestPlan(starts, lengths, policy=plan.policy,
                            merge_gap=plan.merge_gap)
-        # maximal contiguous stretches of hit blocks = "cached runs"
-        transitions = int(np.count_nonzero(np.diff(hit_mask.astype(np.int8))
-                                           == 1))
-        hit_runs = transitions + int(hit_mask[0])
-        return miss, n_hits, hit_runs
+        return miss, n_hits, _stretches(hit_mask)
 
     def peek_plan(self, disk: int, plan: RequestPlan) -> tuple[int, int]:
         """The ``(hit_blocks, hit_runs)`` that :meth:`filter_plan`
@@ -254,29 +235,33 @@ class BufferPool:
         """
         if not self.active or plan.n_runs == 0:
             return 0, 0
-        lbns = expand_plan(plan)
-        d = int(disk)
-        resident = self._resident.get(d)
-        if not resident:
+        hit_mask = self._hit_mask(int(disk), expand_plan(plan))
+        if hit_mask is None or not hit_mask.any():
             return 0, 0
+        return int(hit_mask.sum()), _stretches(hit_mask)
+
+    def _hit_mask(self, disk: int, lbns: np.ndarray) -> np.ndarray | None:
+        """Which of ``lbns`` are resident on ``disk`` (``None``: nothing
+        cached for the disk, so every block misses).
+
+        The membership test scales to the smaller side: set lookups for
+        plans much smaller than the pool, vectorized ``np.isin`` against
+        a cached ndarray of the resident set for large plans.
+        """
+        resident = self._resident.get(disk)
+        if not resident:
+            return None
         if lbns.size * 8 < len(resident):
-            hit_mask = np.fromiter(
+            return np.fromiter(
                 (lbn in resident for lbn in lbns.tolist()),
                 dtype=bool, count=lbns.size,
             )
-        else:
-            arr = self._resident_arr.get(d)
-            if arr is None:
-                arr = np.fromiter(resident, dtype=np.int64,
-                                  count=len(resident))
-                self._resident_arr[d] = arr
-            hit_mask = np.isin(lbns, arr)
-        n_hits = int(hit_mask.sum())
-        if n_hits == 0:
-            return 0, 0
-        transitions = int(np.count_nonzero(np.diff(hit_mask.astype(np.int8))
-                                           == 1))
-        return n_hits, transitions + int(hit_mask[0])
+        arr = self._resident_arr.get(disk)
+        if arr is None:
+            arr = np.fromiter(resident, dtype=np.int64,
+                              count=len(resident))
+            self._resident_arr[disk] = arr
+        return np.isin(lbns, arr)
 
     # ------------------------------------------------------------------
     # admission (called after the drive serviced the miss plan)

@@ -1,21 +1,19 @@
 """EXPLAIN: static, no-execution plan inspection for a Dataset query.
 
-:func:`explain_query` prepares a query exactly the way execution would
-— §5.2 run coalescing, SPTF clamping, shard splitting, replica routing
-— but against *ghost* state, so nothing observable changes: the live
-drives never move, the buffer pool is consulted through the
-non-mutating :meth:`BufferPool.peek_plan` probe, replica read-routing
-counters are snapshotted and restored, and perf probes are muted for
-the duration.  Predicted per-run mechanical cost comes from servicing
-the prepared runs on a fresh drive instance built from the same
-:class:`DiskModel` (deterministic: track 0, time 0), mirroring the
+:func:`explain_query` plans a query with execution's own planning step,
+:meth:`StorageManager.plan` — §5.2 run coalescing, SPTF clamping, shard
+splitting, replica routing — and never runs the commit that books a
+plan, so nothing observable changes: the live drives never move, the
+buffer pool is consulted through the non-mutating
+:meth:`BufferPool.peek_plan` probe, and replica routing and perf probes
+are left as they were.  Predicted per-run mechanical cost comes from
+servicing the planned runs on a fresh drive instance built from the
+same :class:`DiskModel` (deterministic: track 0, time 0), mirroring the
 scatter-gather accounting (per-disk sub-plans back to back, makespan =
 slowest disk).
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -27,7 +25,6 @@ from repro.explain.classify import (
     classify_runs,
     run_length_histogram,
 )
-from repro.perf.profile import PROBES
 from repro.query.scatter import subplans
 from repro.query.workload import BeamQuery, RangeQuery
 
@@ -38,11 +35,6 @@ __all__ = [
     "prepare_readonly",
     "query_spec",
 ]
-
-#: sentinel attached as ``storage.obs`` during read-only preparation so
-#: prepared sub-plans carry their raw (pre-coalescing) run counts; the
-#: prepare path only checks ``obs is not None``, never calls into it
-_RAW_PROBE = object()
 
 
 def query_spec(query) -> dict:
@@ -65,37 +57,10 @@ def query_spec(query) -> dict:
 
 
 def prepare_readonly(ds, query):
-    """Prepare ``query`` on ``ds`` without mutating any live state.
-
-    The cache is detached for the duration (so plans cover every block
-    and cache stats stay untouched), replica read-routing state is
-    snapshotted and restored (prepare records sub-reads and advances
-    round-robin counters), and perf probes are muted.
-    """
-    storage = ds.storage
-    saved_cache = storage.cache
-    saved_obs = storage.obs
-    probes_on = PROBES.enabled
-    replicated = hasattr(storage, "replica_stats")
-    if replicated:
-        saved_stats = copy.deepcopy(storage.replica_stats)
-        saved_rr = copy.deepcopy(storage._rr_counts)
-    storage.cache = None
-    storage.obs = _RAW_PROBE
-    PROBES.disable()
-    try:
-        return storage.prepare(ds.mapper, query)
-    finally:
-        storage.cache = saved_cache
-        storage.obs = saved_obs
-        if probes_on:
-            PROBES.enable()
-        if replicated:
-            # restore in place so references to the stats object and
-            # the round-robin counter dict stay valid
-            storage.replica_stats.__dict__.update(vars(saved_stats))
-            storage._rr_counts.clear()
-            storage._rr_counts.update(saved_rr)
+    """Plan ``query`` on ``ds`` without mutating any live state: the
+    storage manager's pure planning step, with no commit (no cache
+    filter, routing bookkeeping or perf probes)."""
+    return ds.storage.plan(ds.mapper, query)
 
 
 def predict_mechanics(volume, prepared, *, window: int = 128) -> dict:
@@ -200,7 +165,7 @@ def _multimap_k(ds):
 
 
 def _peek_cache(storage, prepared) -> dict | None:
-    """Expected buffer-pool hits for the prepared (cache-less) plans,
+    """Expected buffer-pool hits for the planned (unfiltered) plans,
     probed without mutating pool policy or stats."""
     pool = storage.cache
     if pool is None or not pool.active:
@@ -239,14 +204,13 @@ def explain_query(ds, query) -> dict:
             steps[name] += count
         for length, count in run_length_histogram(sub.plan).items():
             histogram[length] = histogram.get(length, 0) + count
-        raw = (sub.obs or {}).get("raw_runs", sub.plan.n_runs)
-        raw_runs += int(raw)
+        raw_runs += sub.raw_runs
         sub_rows.append({
             "disk": int(sub.disk_index),
             "policy": sub.policy,
             "runs": cls["runs"],
             "blocks": cls["blocks"],
-            "raw_runs": int(raw),
+            "raw_runs": sub.raw_runs,
             "pattern": cls["pattern"],
         })
     total_steps = sum(steps.values())

@@ -412,6 +412,7 @@ class IngestPipeline:
             plan=RequestPlan(empty, empty, policy="sorted", merge_gap=0),
             policy="sorted",
             n_cells=len(coords),
+            raw_runs=None,
             cache_ms=len(coords) * self.stage_ms_per_point,
         )
         if flush is None:

@@ -135,8 +135,8 @@ class Tracer:
 
 def _prepare_span(t0: float, prepared, subs) -> Span:
     """The instant plan-preparation span, summarising the §5.2 work the
-    storage manager already did (raw runs from each sub-plan's attached
-    prepare record, when present)."""
+    storage manager already did (raw runs when every sub-plan was
+    planned from a mapper)."""
     attrs = {
         "policy": prepared.policy,
         "cells": int(prepared.n_cells),
@@ -144,9 +144,9 @@ def _prepare_span(t0: float, prepared, subs) -> Span:
         "blocks": int(prepared.n_blocks),
         "subs": len(subs),
     }
-    raw = [getattr(sub, "obs", None) for sub in subs]
-    if all(r is not None for r in raw):
-        attrs["raw_runs"] = int(sum(r["raw_runs"] for r in raw))
+    raw = [sub.raw_runs for sub in subs]
+    if None not in raw:
+        attrs["raw_runs"] = int(sum(raw))
     return Span("prepare", "prepare", t0, 0.0, attrs=attrs)
 
 
@@ -266,9 +266,7 @@ def record_traffic_query(telemetry, *, client: str, label: str,
     ``[arrival, completion)``, so queueing delay is the gap between the
     root start and its first service child.
     """
-    from repro.query.scatter import subplans
-
-    children = [_prepare_span(arrival_ms, prepared, subplans(prepared))]
+    children = [_prepare_span(arrival_ms, prepared, prepared.subs)]
     for disk in sorted(cache):
         share = cache[disk]
         if share > 0:

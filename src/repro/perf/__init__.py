@@ -7,7 +7,7 @@ probes, reference pipelines, and the pinned perf sweep.
                and basic-cube plans across ``with_layout``/``with_shards``
                clones instead of re-deriving them per mapper
 ``profile``    the :data:`PROBES` counter/timer registry hooked into
-               :meth:`StorageManager.prepare_plan` and the traffic
+               :meth:`StorageManager.commit` and the traffic
                engine's event loop (off by default; zero overhead and
                bit-identical report JSON while disabled)
 ``reference``  the slow per-cell preparation pipeline vectorized plans

@@ -1,6 +1,7 @@
 """Lightweight counter/timer probes for the preparation hot path.
 
-The hooks live in :meth:`StorageManager.prepare_plan` and the
+The hooks live in :meth:`StorageManager.commit` (the one step of
+preparation with side effects — planning stays pure) and the
 :class:`TrafficSim` event loop, guarded by ``PROBES.enabled`` so the
 disabled cost is one attribute read.  While enabled, report meta gains a
 gated ``"perf"`` entry (a :meth:`PerfProbes.delta` of the run); while
@@ -71,7 +72,7 @@ def register_probe(name: str, *, description: str = ""):
 
 @register_probe("plans_prepared")
 def _plans_prepared():
-    """request plans pushed through prepare_plan"""
+    """request plans committed by the storage manager"""
 
 
 @register_probe("cells_planned")
@@ -86,7 +87,7 @@ def _runs_prepared():
 
 @register_probe("prepare_plan_ms")
 def _prepare_plan_ms():
-    """wall time inside StorageManager.prepare_plan"""
+    """wall time inside StorageManager.prepare (plan + commit)"""
 
 
 @register_probe("traffic_events")

@@ -123,6 +123,7 @@ def reference_prepare(storage, mapper, query) -> PreparedQuery:
         plan=plan,
         policy=effective,
         n_cells=int(n_cells),
+        raw_runs=None,  # the oracle pins plans, not raw-run diagnostics
     )
 
 

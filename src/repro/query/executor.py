@@ -6,19 +6,26 @@ conventions of §5.2, hands the batch to the owning drive, and reports the
 timing breakdown.  Every query can start from a randomised head position,
 matching the paper's averaging over runs at random locations.
 
-When a :class:`repro.cache.BufferPool` is attached, preparation gains a
-cache-filter step *after* the §5.2 coalescing: resident blocks are
-carved out of the plan (served at memory speed) and only the miss runs
-reach the drive, still in the plan's issue order; once serviced, the
-missed blocks and their prefetched neighbors are admitted back into the
-pool (:meth:`StorageManager.admit_prepared`).  Without a pool — or with
-a capacity-0 pool — every path below is bit-identical to the uncached
-storage manager.
+Preparation is two steps.  :meth:`StorageManager.plan` is pure: the
+mapper plan, the §5.2 coalescing, the SPTF clamp and the raw-run count
+are a function of the mapper and the query, and planning changes
+nothing (EXPLAIN calls it directly).  :meth:`StorageManager.commit`
+books a planned query once: the cache filter, read routing on the
+replicated manager, and the perf probes.  :meth:`StorageManager.prepare`
+is plan then commit.
+
+When a :class:`repro.cache.BufferPool` is attached, the commit's cache
+filter carves resident blocks out of the plan (served at memory speed)
+and only the miss runs reach the drive, still in the plan's issue
+order; once serviced, the missed blocks and their prefetched neighbors
+are admitted back into the pool (:meth:`StorageManager.admit_prepared`).
+Without a pool — or with a capacity-0 pool — every path below is
+bit-identical to the uncached storage manager.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import ClassVar
 
@@ -54,6 +61,10 @@ class PreparedQuery:
     already carved out at the cache-filter step and cost ``cache_ms`` of
     memory service instead of drive time.  All three stay zero on the
     uncached path.
+
+    ``raw_runs`` is the mapper plan's run count before coalescing
+    (``None`` when no storage manager planned it, e.g. an ingest
+    staging sub); it is a diagnostic, excluded from equality.
     """
 
     mapper_name: str
@@ -61,12 +72,15 @@ class PreparedQuery:
     plan: RequestPlan
     policy: str
     n_cells: int
+    raw_runs: int | None = field(compare=False, repr=False)
     cache_hits: int = 0
     cache_runs: int = 0
     cache_ms: float = 0.0
-    #: preparation record for an attached telemetry (None when detached;
-    #: excluded from equality so observed and unobserved plans compare equal)
-    obs: object = field(default=None, compare=False, repr=False)
+
+    @property
+    def subs(self) -> tuple[PreparedQuery]:
+        """A single-disk query is its own only sub-plan."""
+        return (self,)
 
     @property
     def n_runs(self) -> int:
@@ -155,7 +169,7 @@ class StorageManager:
         self.obs = None
 
     # ------------------------------------------------------------------
-    # plan execution
+    # preparation: a pure plan, then one commit
     # ------------------------------------------------------------------
 
     def prepare_plan(
@@ -163,55 +177,28 @@ class StorageManager:
     ) -> PreparedQuery:
         """Apply the issue-order conventions of §5.2 without servicing.
 
-        Coalesces nearby runs of sortable batches and resolves the
-        effective scheduling policy; the result can be serviced in one
-        batch (:meth:`execute_prepared`) or split into slices by the
-        traffic simulator.  With a buffer pool attached, the cache
-        filter then partitions the prepared plan: resident blocks are
-        served from memory and only the miss runs — still in the §5.2
-        issue order — go to the drive.
+        Pure: coalesces nearby runs of sortable batches and resolves the
+        effective scheduling policy.  The cache filter is not applied
+        here but at :meth:`commit`.
         """
-        probing = PROBES.enabled
-        if probing:
-            t0 = perf_counter()
-        observing = self.obs is not None
-        if observing:
-            raw_runs = plan.n_runs
+        raw_runs = plan.n_runs
         if plan.policy in ("sorted", "sptf"):
             gap = plan.merge_gap
             if gap is None:
                 gap = self.coalesce_gap_blocks
             plan = merge_plan_runs(plan, gap)
-        cache_hits = cache_runs = 0
-        cache_ms = 0.0
-        cache = self.cache
-        if cache is not None and cache.active:
-            plan, cache_hits, cache_runs = cache.filter_plan(
-                mapper.disk_index, plan
-            )
-            cache_ms = cache_hits * cache.service_ms_per_block
-        # resolve the SPTF clamp on what the drive will actually queue:
-        # a warm cache can shrink a too-large batch back under the limit
-        policy = effective_policy(plan, self.sptf_run_limit)
-        if probing:
-            PROBES.add_time("prepare_plan_ms", (perf_counter() - t0) * 1e3)
-            PROBES.count("plans_prepared")
-            PROBES.count("cells_planned", int(n_cells))
-            PROBES.count("runs_prepared", plan.n_runs)
         return PreparedQuery(
             mapper_name=mapper.name,
             disk_index=mapper.disk_index,
             plan=plan,
-            policy=policy,
+            policy=effective_policy(plan, self.sptf_run_limit),
             n_cells=int(n_cells),
-            cache_hits=cache_hits,
-            cache_runs=cache_runs,
-            cache_ms=cache_ms,
-            obs={"raw_runs": raw_runs} if observing else None,
+            raw_runs=raw_runs,
         )
 
-    def prepare(self, mapper: Mapper, query) -> PreparedQuery:
-        """Plan and prepare a :class:`BeamQuery` / :class:`RangeQuery`."""
+    def plan(self, mapper: Mapper, query) -> PreparedQuery:
+        """Plan a :class:`BeamQuery` / :class:`RangeQuery` without
+        booking anything: no cache access, no routing, no probes."""
         if isinstance(query, BeamQuery):
             plan = mapper.beam_plan(query.axis, query.fixed, query.lo,
                                     query.hi)
@@ -220,6 +207,44 @@ class StorageManager:
             plan = mapper.range_plan(query.lo, query.hi)
             return self.prepare_plan(mapper, plan, query.n_cells())
         raise QueryError(f"unknown query type {type(query).__name__}")
+
+    def commit(self, planned: PreparedQuery) -> PreparedQuery:
+        """Book a planned read: the one preparation step with side effects.
+
+        With a buffer pool attached, the cache filter partitions the
+        plan: resident blocks are served from memory (refreshing their
+        recency) and only the miss runs — still in the §5.2 issue order
+        — go to the drive; the SPTF clamp is then resolved again on what
+        the drive will actually queue, since a warm cache can shrink a
+        too-large batch back under the limit.
+        """
+        prepared = planned
+        cache = self.cache
+        if cache is not None and cache.active:
+            plan, hits, runs = cache.filter_plan(planned.disk_index,
+                                                 planned.plan)
+            if hits:
+                prepared = replace(
+                    planned,
+                    plan=plan,
+                    policy=effective_policy(plan, self.sptf_run_limit),
+                    cache_hits=hits,
+                    cache_runs=runs,
+                    cache_ms=hits * cache.service_ms_per_block,
+                )
+        if PROBES.enabled:
+            PROBES.count("plans_prepared")
+            PROBES.count("cells_planned", prepared.n_cells)
+            PROBES.count("runs_prepared", prepared.plan.n_runs)
+        return prepared
+
+    def prepare(self, mapper: Mapper, query):
+        """Plan a query and commit the plan: what execution services."""
+        t0 = perf_counter()
+        prepared = self.commit(self.plan(mapper, query))
+        if PROBES.enabled:
+            PROBES.add_time("prepare_plan_ms", (perf_counter() - t0) * 1e3)
+        return prepared
 
     def prepare_write(
         self, mapper: Mapper, lbns, n_points: int
@@ -247,10 +272,7 @@ class StorageManager:
             plan=plan,
             policy=effective_policy(plan, self.sptf_run_limit),
             n_cells=int(n_points),
-            obs=(
-                {"raw_runs": int(lbns.size)}
-                if self.obs is not None else None
-            ),
+            raw_runs=int(lbns.size),
         )
 
     def execute_prepared(
@@ -293,20 +315,24 @@ class StorageManager:
             policy=prepared.policy,
         )
 
-    def admit_prepared(self, prepared: PreparedQuery) -> None:
+    def admit_prepared(self, prepared) -> None:
         """Admit a serviced query's missed blocks (plus prefetch).
 
         No-op without an active pool.  The traffic simulator calls this
-        when a query's *last* slice completes; the one-shot path calls
-        it from :meth:`execute_prepared`.  Write batches are never
+        when a query's *last* slice completes; the one-shot paths call
+        it once per serviced sub-plan.  Write batches are never
         admitted — their blocks were invalidated at preparation.
         """
-        if getattr(prepared, "is_write", False):
-            return
         cache = self.cache
-        if cache is not None and cache.active:
-            cache.admit_plan(self.volume, prepared.disk_index,
-                             prepared.plan)
+        if cache is None or not cache.active:
+            return
+        for sub in prepared.subs:
+            if self._admits(sub):
+                cache.admit_plan(self.volume, sub.disk_index, sub.plan)
+
+    def _admits(self, sub: PreparedQuery) -> bool:
+        """Whether a serviced sub-plan's blocks enter the pool."""
+        return not getattr(sub, "is_write", False)
 
     def execute_plan(
         self,
@@ -316,13 +342,24 @@ class StorageManager:
         *,
         rng: np.random.Generator | None = None,
     ) -> QueryResult:
-        """Service a prepared plan on the mapper's disk."""
-        prepared = self.prepare_plan(mapper, plan, n_cells)
+        """Prepare, commit and service a mapper plan on its disk."""
+        prepared = self.commit(self.prepare_plan(mapper, plan, n_cells))
         return self.execute_prepared(prepared, rng=rng)
 
     # ------------------------------------------------------------------
     # query entry points
     # ------------------------------------------------------------------
+
+    def run_query(
+        self,
+        mapper: Mapper,
+        query,
+        *,
+        rng: np.random.Generator | None = None,
+    ) -> QueryResult:
+        """Prepare and service a :class:`BeamQuery` or
+        :class:`RangeQuery` in one batch."""
+        return self.execute_prepared(self.prepare(mapper, query), rng=rng)
 
     def beam(
         self,
@@ -334,9 +371,9 @@ class StorageManager:
         *,
         rng: np.random.Generator | None = None,
     ) -> QueryResult:
-        plan = mapper.beam_plan(axis, fixed, lo, hi)
-        hi_val = mapper.dims[axis] if hi is None else hi
-        return self.execute_plan(mapper, plan, hi_val - lo, rng=rng)
+        return self.run_query(
+            mapper, BeamQuery(int(axis), tuple(fixed), lo, hi), rng=rng
+        )
 
     def range(
         self,
@@ -346,24 +383,6 @@ class StorageManager:
         *,
         rng: np.random.Generator | None = None,
     ) -> QueryResult:
-        plan = mapper.range_plan(lo, hi)
-        n_cells = int(
-            np.prod([b - a for a, b in zip(lo, hi)], dtype=np.int64)
+        return self.run_query(
+            mapper, RangeQuery(tuple(lo), tuple(hi)), rng=rng
         )
-        return self.execute_plan(mapper, plan, n_cells, rng=rng)
-
-    def run_query(
-        self,
-        mapper: Mapper,
-        query,
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> QueryResult:
-        """Dispatch a :class:`BeamQuery` or :class:`RangeQuery`."""
-        if isinstance(query, BeamQuery):
-            return self.beam(
-                mapper, query.axis, query.fixed, query.lo, query.hi, rng=rng
-            )
-        if isinstance(query, RangeQuery):
-            return self.range(mapper, query.lo, query.hi, rng=rng)
-        raise QueryError(f"unknown query type {type(query).__name__}")

@@ -92,18 +92,10 @@ class ShardedPrepared:
     def cache_ms(self) -> float:
         return sum(sub.cache_ms for sub in self.subs)
 
-    @property
-    def obs(self):
-        """The sub-plans' preparation records (a property, not a field,
-        so shard/replica constructors need no telemetry plumbing)."""
-        return tuple(sub.obs for sub in self.subs)
-
 
 def subplans(prepared) -> tuple[PreparedQuery, ...]:
     """The per-disk sub-plans of any prepared form (plain or sharded)."""
-    if isinstance(prepared, ShardedPrepared):
-        return prepared.subs
-    return (prepared,)
+    return prepared.subs
 
 
 def scatter_execute(

@@ -18,7 +18,7 @@ parity ``tests/replica/test_parity.py`` pins bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.api.registry import build_mapper
@@ -27,11 +27,12 @@ from repro.query.executor import PreparedQuery, StorageManager
 from repro.query.scatter import ShardedPrepared
 from repro.registry import Registry, first_doc_line
 from repro.replica.map import ReplicaMap
-from repro.shard.executor import ShardedStorageManager
+from repro.shard.executor import ShardedStorageManager, SubSource
 
 __all__ = [
     "READ_POLICIES",
     "ReadPolicyEntry",
+    "ReadRouting",
     "ReplicaStats",
     "ReplicatedPrepared",
     "ReplicatedStorageManager",
@@ -50,10 +51,11 @@ __all__ = [
 class ReadPolicyEntry:
     """A registered replica read-selection policy.
 
-    ``fn(manager, chunk_index, live)`` picks one copy index out of
+    ``fn(routing, chunk_index, live)`` picks one copy index out of
     ``live`` (non-empty, ascending copy order, every copy on a healthy
-    disk).  Selection must be deterministic — same call sequence, same
-    choices — so seeded runs stay bit-reproducible.
+    disk) given a :class:`ReadRouting` view.  Selection must be
+    deterministic — same routing state, same choice — so seeded runs
+    stay bit-reproducible.
     """
 
     name: str
@@ -68,7 +70,12 @@ READ_POLICIES = Registry("read policy")
 
 def register_read_policy(name: str, *, description: str = ""):
     """Function decorator adding a read policy to
-    :data:`READ_POLICIES`."""
+    :data:`READ_POLICIES`.
+
+    A policy is called while a query is *planned*, so it reads routing
+    state and never writes it: the manager books the chosen copies
+    only when the planned query commits (and not at all when planning
+    fails or when EXPLAIN plans it)."""
 
     def deco(fn):
         desc = description or first_doc_line(fn)
@@ -82,47 +89,68 @@ def read_policy_names() -> tuple[str, ...]:
     return READ_POLICIES.names()
 
 
+class ReadRouting:
+    """The routing state a read policy chooses from, for one query.
+
+    A private copy of the manager's committed totals — per-disk
+    ``planned_blocks`` and per-chunk ``chunk_reads`` (the round-robin
+    cursor) — advanced by every piece already planned in the same
+    query, so a later piece sees the blocks routed before it while the
+    manager itself stays untouched until commit.
+    """
+
+    def __init__(self, manager: ReplicatedStorageManager):
+        self._manager = manager
+        self.replica_map = manager.replica_map
+        self.planned_blocks = list(manager.replica_stats.planned_blocks)
+        self.chunk_reads = dict(manager._rr_counts)
+
+    def choose(self, chunk_index: int, exclude_copy=None) -> int:
+        """The copy the read policy picks among the chunk's live ones."""
+        failed = self._manager.failed
+        live = [
+            r for r in self.replica_map.live_copies(chunk_index, failed)
+            if r != exclude_copy
+        ]
+        if not live:
+            raise ReplicaError(
+                f"chunk {chunk_index} is unreadable: all "
+                f"{self.replica_map.k} copies are on failed disks "
+                f"{sorted(failed)}"
+            )
+        return int(self._manager.read_policy.fn(self, chunk_index, live))
+
+    def add(self, source: SubSource, sub: PreparedQuery) -> None:
+        """Account one planned piece for the pieces planned after it."""
+        self.planned_blocks[sub.disk_index] += sub.n_blocks
+        self.chunk_reads[source.chunk] = (
+            self.chunk_reads.get(source.chunk, 0) + 1
+        )
+
+
 @register_read_policy("primary")
-def _primary(manager, chunk_index: int, live) -> int:
+def _primary(routing: ReadRouting, chunk_index: int, live) -> int:
     """Lowest live copy: the primary while its disk is healthy."""
     return live[0]
 
 
 @register_read_policy("round_robin")
-def _round_robin(manager, chunk_index: int, live) -> int:
+def _round_robin(routing: ReadRouting, chunk_index: int, live) -> int:
     """Cycle each chunk's reads over its live copies in turn."""
-    i = manager._rr_counts.get(chunk_index, 0)
-    manager._rr_counts[chunk_index] = i + 1
-    return live[i % len(live)]
+    return live[routing.chunk_reads.get(chunk_index, 0) % len(live)]
 
 
 @register_read_policy("least_loaded")
-def _least_loaded(manager, chunk_index: int, live) -> int:
+def _least_loaded(routing: ReadRouting, chunk_index: int, live) -> int:
     """Live copy on the disk with the fewest planned blocks so far."""
-    disks = manager.replica_map.disks[chunk_index]
-    blocks = manager.replica_stats.planned_blocks
+    disks = routing.replica_map.disks[chunk_index]
+    blocks = routing.planned_blocks
     return min(live, key=lambda r: (blocks[int(disks[r])], r))
 
 
 # ----------------------------------------------------------------------
 # prepared form + stats
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubSource:
-    """Provenance of one sub-plan: which chunk piece, on which copy.
-
-    Carries everything needed to re-plan the same piece on another copy
-    (the failover path): the chunk, the chosen copy, the beam axis
-    (``None`` for ranges) and the chunk-local half-open box."""
-
-    chunk: int
-    copy: int
-    axis: int | None
-    llo: tuple[int, ...]
-    lhi: tuple[int, ...]
-    n_cells: int
 
 
 @dataclass(frozen=True)
@@ -243,6 +271,7 @@ class ReplicatedStorageManager(ShardedStorageManager):
         self.copy_mappers = tuple(tuple(ms) for ms in copy_mappers)
         self.failed: set[int] = set()
         self.replica_stats = ReplicaStats(shard_map.n_disks)
+        #: committed reads per chunk: the round-robin cursor
         self._rr_counts: dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -269,58 +298,40 @@ class ReplicatedStorageManager(ShardedStorageManager):
         self.failed.discard(int(disk))
 
     # ------------------------------------------------------------------
-    # copy selection + scatter
+    # copy selection (planning) + routing bookkeeping (commit)
     # ------------------------------------------------------------------
 
-    def _select_copy(self, chunk_index: int, exclude_copy=None) -> int:
-        live = [
-            r for r in self.replica_map.live_copies(
-                chunk_index, self.failed
-            )
-            if r != exclude_copy
-        ]
-        if not live:
-            raise ReplicaError(
-                f"chunk {chunk_index} is unreadable: all "
-                f"{self.replica_map.k} copies are on failed disks "
-                f"{sorted(self.failed)}"
-            )
-        return int(self.read_policy.fn(self, chunk_index, live))
+    def _routing(self) -> ReadRouting:
+        return ReadRouting(self)
 
-    def _prepare_source(self, source: SubSource) -> PreparedQuery:
-        """Plan + prepare one chunk piece on its source's chosen copy."""
-        mapper = self.copy_mappers[source.chunk][source.copy]
-        plan = self._piece_plan(mapper, source.axis, source.llo,
-                                source.lhi)
-        sub = self.prepare_plan(mapper, plan, source.n_cells)
-        self.replica_stats.record_sub(
-            sub.disk_index, source.copy, sub.n_blocks + sub.cache_hits
-        )
-        return sub
-
-    def prepare(self, mapper, query) -> ReplicatedPrepared:
-        """Split the query per chunk and route every piece to a copy
-        chosen by the read policy among live disks."""
-        pieces, axis = self._query_pieces(query)
-        subs, sources = [], []
-        total_cells = 0
-        degraded = False
-        for chunk, llo, lhi, n_cells in pieces:
-            copy = self._select_copy(chunk.index)
-            if int(self.replica_map.disks[chunk.index, 0]) in self.failed:
-                degraded = True
-            source = SubSource(chunk.index, copy, axis, llo, lhi, n_cells)
-            subs.append(self._prepare_source(source))
-            sources.append(source)
-            total_cells += n_cells
-        if degraded:
-            self.replica_stats.degraded_queries += 1
+    def _bundle(self, subs, sources) -> ReplicatedPrepared:
         return ReplicatedPrepared(
             mapper_name=self.mapper.name,
-            subs=tuple(subs),
-            n_cells=total_cells,
-            sources=tuple(sources),
+            subs=subs,
+            n_cells=sum(src.n_cells for src in sources),
+            sources=sources,
         )
+
+    def _book(self, source: SubSource, planned: PreparedQuery) -> None:
+        """Record one routed read: its chunk's round-robin cursor and
+        its disk's read and planned-block totals."""
+        self._rr_counts[source.chunk] = (
+            self._rr_counts.get(source.chunk, 0) + 1
+        )
+        self.replica_stats.record_sub(planned.disk_index, source.copy,
+                                      planned.n_blocks)
+
+    def commit(self, planned):
+        """Commit the sub-plans, then book the query's read routing —
+        a degraded query when any piece's primary disk is down."""
+        prepared = super().commit(planned)
+        sources = getattr(planned, "sources", ())
+        for source, sub in zip(sources, planned.subs):
+            self._book(source, sub)
+        if any(int(self.replica_map.disks[src.chunk, 0]) in self.failed
+               for src in sources):
+            self.replica_stats.degraded_queries += 1
+        return prepared
 
     def write_copies(self, chunk_index: int):
         """Every live ``(copy, mapper)`` an ingest flush must write.
@@ -348,24 +359,19 @@ class ReplicatedStorageManager(ShardedStorageManager):
         slices are lost work — the blocks must be re-read).  Returns the
         updated source and the freshly prepared sub-plan.
         """
-        copy = self._select_copy(source.chunk, exclude_copy=source.copy)
-        moved = SubSource(source.chunk, copy, source.axis, source.llo,
-                          source.lhi, source.n_cells)
-        sub = self._prepare_source(moved)
+        copy = ReadRouting(self).choose(source.chunk,
+                                        exclude_copy=source.copy)
+        moved = replace(source, copy=copy)
+        planned = self._plan_source(moved)
+        self._book(moved, planned)
         self.replica_stats.failovers += 1
-        return moved, sub
+        return moved, StorageManager.commit(self, planned)
 
-    def admit_prepared(self, prepared) -> None:
-        """Admit serviced sub-plans, skipping copies on failed disks
-        (their frames were dropped at :meth:`fail_disk` and must not be
-        repopulated for a disk that cannot serve them)."""
-        if isinstance(prepared, ShardedPrepared):
-            subs = prepared.subs
-        else:
-            subs = (prepared,)
-        for sub in subs:
-            if sub.disk_index not in self.failed:
-                StorageManager.admit_prepared(self, sub)
+    def _admits(self, sub: PreparedQuery) -> bool:
+        """Skip copies on failed disks: their frames were dropped at
+        :meth:`fail_disk` and must not be repopulated for a disk that
+        cannot serve them."""
+        return sub.disk_index not in self.failed and super()._admits(sub)
 
     # ------------------------------------------------------------------
     # introspection

@@ -18,7 +18,7 @@ path below reduces to the one-shot executor call for call — the parity
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,24 @@ from repro.query.scatter import ShardedPrepared, scatter_execute
 from repro.query.workload import BeamQuery, RangeQuery
 from repro.shard.map import ShardMap
 
-__all__ = ["ShardStats", "ShardedMapper", "ShardedStorageManager"]
+__all__ = ["ShardStats", "ShardedMapper", "ShardedStorageManager",
+           "SubSource"]
+
+
+@dataclass(frozen=True)
+class SubSource:
+    """Provenance of one sub-plan: which chunk piece, on which copy.
+
+    Carries everything needed to re-plan the same piece on another copy
+    (the replica layer's failover path): the chunk, the chosen copy, the
+    beam axis (``None`` for ranges) and the chunk-local half-open box."""
+
+    chunk: int
+    copy: int
+    axis: int | None
+    llo: tuple[int, ...]
+    lhi: tuple[int, ...]
+    n_cells: int
 
 
 class ShardedMapper:
@@ -170,6 +187,9 @@ class ShardedStorageManager(StorageManager):
         name = (layout.name if isinstance(layout, LayoutEntry)
                 else str(layout))
         self.mapper = ShardedMapper(name, shard_map, chunk_mappers)
+        #: per chunk, the mapper of every copy (copy 0 is the primary;
+        #: an unreplicated chunk has no other)
+        self.copy_mappers = tuple((m,) for m in chunk_mappers)
         self.shard_stats = ShardStats(shard_map.n_disks)
 
     # ------------------------------------------------------------------
@@ -182,8 +202,8 @@ class ShardedStorageManager(StorageManager):
         Returns ``(pieces, axis)``: ``pieces`` is a list of
         ``(chunk, llo, lhi, n_cells)`` in chunk-enumeration order (local
         chunk coordinates), ``axis`` the beam axis or ``None`` for
-        ranges — enough for :meth:`_piece_plan` to (re-)plan any piece
-        on any chunk mapper, which is what the replica layer's failover
+        ranges — enough for :meth:`_plan_source` to (re-)plan any piece
+        on any copy, which is what the replica layer's failover
         re-dispatch builds on."""
         if isinstance(query, BeamQuery):
             lo, hi = self._beam_box(query)
@@ -213,31 +233,55 @@ class ShardedStorageManager(StorageManager):
             raise QueryError("query intersects no chunk")
         return pieces, axis
 
-    @staticmethod
-    def _piece_plan(chunk_mapper, axis, llo, lhi):
-        """Plan one chunk-local piece on ``chunk_mapper``."""
+    def _plan_source(self, source: SubSource):
+        """Plan one chunk-local piece on its source's copy (pure)."""
+        mapper = self.copy_mappers[source.chunk][source.copy]
+        axis, llo, lhi = source.axis, source.llo, source.lhi
         if axis is None:
-            return chunk_mapper.range_plan(llo, lhi)
-        return chunk_mapper.beam_plan(axis, llo, llo[axis], lhi[axis])
+            plan = mapper.range_plan(llo, lhi)
+        else:
+            plan = mapper.beam_plan(axis, llo, llo[axis], lhi[axis])
+        return self.prepare_plan(mapper, plan, source.n_cells)
 
-    def prepare(self, mapper, query) -> ShardedPrepared:
-        """Split a query across the chunks it touches and prepare each
-        sub-plan (coalescing, cache filter, policy clamp) on its chunk's
-        mapper.  ``mapper`` is accepted for interface compatibility; the
-        split always runs against this manager's own chunk mappers."""
-        pieces, axis = self._query_pieces(query)
-        subs = []
-        total_cells = 0
-        for chunk, llo, lhi, n_cells in pieces:
-            chunk_mapper = self.mapper.chunk_mappers[chunk.index]
-            plan = self._piece_plan(chunk_mapper, axis, llo, lhi)
-            subs.append(self.prepare_plan(chunk_mapper, plan, n_cells))
-            total_cells += n_cells
+    def _routing(self):
+        """The per-query copy chooser, or ``None`` when every chunk has
+        exactly one copy (the replica manager supplies one)."""
+        return None
+
+    def _bundle(self, subs, sources) -> ShardedPrepared:
+        """Wrap a query's planned sub-plans in their prepared form."""
         return ShardedPrepared(
             mapper_name=self.mapper.name,
-            subs=tuple(subs),
-            n_cells=total_cells,
+            subs=subs,
+            n_cells=sum(src.n_cells for src in sources),
         )
+
+    def plan(self, mapper, query) -> ShardedPrepared:
+        """Split a query across the chunks it touches and plan each
+        piece (coalescing, policy clamp) on the mapper of the copy it
+        reads — pure, like :meth:`StorageManager.plan`.  ``mapper`` is
+        accepted for interface compatibility; the split always runs
+        against this manager's own chunk mappers."""
+        pieces, axis = self._query_pieces(query)
+        routing = self._routing()
+        subs, sources = [], []
+        for chunk, llo, lhi, n_cells in pieces:
+            copy = 0 if routing is None else routing.choose(chunk.index)
+            source = SubSource(chunk.index, copy, axis, llo, lhi, n_cells)
+            sub = self._plan_source(source)
+            if routing is not None:
+                routing.add(source, sub)
+            subs.append(sub)
+            sources.append(source)
+        return self._bundle(tuple(subs), tuple(sources))
+
+    def commit(self, planned):
+        """Commit every sub-plan of a planned query, in chunk order."""
+        if not isinstance(planned, ShardedPrepared):
+            return super().commit(planned)
+        return replace(planned, subs=tuple(
+            StorageManager.commit(self, sub) for sub in planned.subs
+        ))
 
     def _beam_box(self, query: BeamQuery):
         """The beam as a global half-open box (validated)."""
@@ -274,32 +318,12 @@ class ShardedStorageManager(StorageManager):
         self.shard_stats.record(per_disk, result.total_ms)
         return result
 
-    def admit_prepared(self, prepared) -> None:
-        if isinstance(prepared, ShardedPrepared):
-            for sub in prepared.subs:
-                super().admit_prepared(sub)
-        else:
-            super().admit_prepared(prepared)
-
     def write_copies(self, chunk_index: int):
         """The ``(copy, chunk_mapper)`` targets an ingest flush of
         ``chunk_index`` must write — one copy (the primary) without
         replication; the replica manager overrides this with every live
         copy."""
         return ((0, self.mapper.chunk_mappers[int(chunk_index)]),)
-
-    def run_query(self, mapper, query, *, rng=None) -> QueryResult:
-        return self.execute_prepared(self.prepare(mapper, query), rng=rng)
-
-    def beam(self, mapper, axis, fixed, lo=0, hi=None, *, rng=None):
-        return self.run_query(
-            mapper, BeamQuery(int(axis), tuple(fixed), lo, hi), rng=rng
-        )
-
-    def range(self, mapper, lo, hi, *, rng=None):
-        return self.run_query(
-            mapper, RangeQuery(tuple(lo), tuple(hi)), rng=rng
-        )
 
     # ------------------------------------------------------------------
     # introspection

@@ -92,19 +92,37 @@ class TestZeroSideEffects:
         assert [d.now_ms for d in ds.volume.drives] == before
 
     def test_batch_report_identical_with_and_without_explain(self):
-        def run(with_explain):
-            d = (Dataset.create((48, 12, 12), layout="multimap",
-                                drive="minidrive", seed=42)
-                 .with_shards(2).with_replication(2).with_cache(1024))
-            if with_explain:
-                for _ in range(3):
-                    d.explain(BEAM)
-            return json.dumps(
-                d.random_beams(axis=1, n=4).run().to_dict(),
-                sort_keys=True,
+        stacks = [
+            lambda d: d.with_shards(2).with_replication(2).with_cache(1024),
+            lambda d: d.with_shards(2).with_cache(1024),
+        ] + [
+            lambda d, p=policy: (
+                d.with_shards(2).with_replication(2, read_policy=p)
+                .with_cache(1024).with_telemetry()
             )
+            for policy in ("primary", "round_robin", "least_loaded")
+        ]
 
-        assert run(False) == run(True)
+        def run(stack, with_explain):
+            d = stack(Dataset.create((48, 12, 12), layout="multimap",
+                                     drive="minidrive", seed=42))
+            out = []
+            # cold explain -> run, then warm run -> explain -> run
+            for _ in range(2):
+                if with_explain:
+                    for _ in range(3):
+                        d.explain(BEAM)
+                        d.explain(RangeQuery((0, 0, 0), (48, 12, 12)))
+                out.append(json.dumps(
+                    d.random_beams(axis=1, n=4).run().to_dict(),
+                    sort_keys=True,
+                ))
+            if d.telemetry is not None:
+                out.append(d.telemetry.export("jsonl"))
+            return out
+
+        for stack in stacks:
+            assert run(stack, False) == run(stack, True)
 
     def test_cache_stats_untouched(self, ds):
         ds = ds.with_cache(1024)
@@ -168,6 +186,32 @@ class TestScaleOutBlocks:
         assert out["routing"]["failed_disks"] == [0]
         for src in out["routing"]["sources"]:
             assert src["disk"] != 0
+
+    @pytest.mark.parametrize("policy,warm", [
+        ("primary", False),
+        ("round_robin", False),
+        ("round_robin", True),
+        ("least_loaded", False),
+        ("least_loaded", True),
+    ])
+    def test_routing_sources_name_next_prepare(self, policy, warm):
+        """EXPLAIN runs execution's own planning step, so its routing
+        names exactly the copies the next real prepare reads."""
+        ds = (Dataset.create((48, 12, 12), layout="multimap",
+                             drive="minidrive", seed=42)
+              .with_shards(2).with_replication(2, read_policy=policy))
+        box = RangeQuery((0, 0, 0), (48, 12, 12))
+        if warm:
+            ds.run([box])
+        sources = ds.explain(box)["routing"]["sources"]
+        prepared = ds.storage.prepare(ds.mapper, box)
+        assert sources == [
+            {"chunk": src.chunk, "copy": src.copy, "disk": sub.disk_index}
+            for src, sub in zip(prepared.sources, prepared.subs)
+        ]
+        if policy == "round_robin" and warm:
+            # every chunk was read once by the warm-up box
+            assert {src["copy"] for src in sources} == {1}
 
     def test_expected_cache_hits_match_execution(self):
         """peek_plan's prediction equals what filter_plan then reports."""
