@@ -25,7 +25,6 @@ from repro.explain.classify import (
     classify_runs,
     run_length_histogram,
 )
-from repro.query.scatter import subplans
 from repro.query.workload import BeamQuery, RangeQuery
 
 __all__ = [
@@ -73,7 +72,7 @@ def predict_mechanics(volume, prepared, *, window: int = 128) -> dict:
     predicted makespan, and a per-run summary.
     """
     by_disk: dict[int, list] = {}
-    for sub in subplans(prepared):
+    for sub in prepared.subs:
         by_disk.setdefault(int(sub.disk_index), []).append(sub)
     per_disk = {}
     agg = {"seek_ms": 0.0, "rotation_ms": 0.0, "transfer_ms": 0.0,
@@ -171,7 +170,7 @@ def _peek_cache(storage, prepared) -> dict | None:
     if pool is None or not pool.active:
         return None
     hits = hit_runs = blocks = 0
-    for sub in subplans(prepared):
+    for sub in prepared.subs:
         h, r = pool.peek_plan(sub.disk_index, sub.plan)
         hits += h
         hit_runs += r
@@ -191,7 +190,7 @@ def explain_query(ds, query) -> dict:
     storage = ds.storage
     spec = query_spec(query)  # rejects unknown query types up front
     prepared = prepare_readonly(ds, query)
-    subs = subplans(prepared)
+    subs = prepared.subs
     volume = ds.volume
 
     sub_rows = []

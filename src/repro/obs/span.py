@@ -32,7 +32,6 @@ from repro.errors import ObsError
 __all__ = [
     "Span",
     "Tracer",
-    "record_one_shot",
     "record_reorg",
     "record_scatter",
     "record_traffic_query",
@@ -175,46 +174,15 @@ def _service_span(t0: float, res, disk: int, cat: str = "service",
     )
 
 
-def record_one_shot(telemetry, prepared, res) -> None:
-    """Record one unsharded :meth:`StorageManager.execute_prepared`:
-    cache service (if any) then one drive batch, on the batch clock."""
-    tracer = telemetry.tracer
-    t0 = tracer.clock_ms if tracer is not None else 0.0
-    total = res.total_ms + prepared.cache_ms
-    write = bool(getattr(prepared, "is_write", False))
-    children = [_prepare_span(t0, prepared, (prepared,))]
-    t = t0
-    if prepared.cache_ms > 0:
-        children.append(_cache_span(
-            t, prepared.cache_ms, prepared.disk_index,
-            prepared.cache_hits, prepared.cache_runs,
-        ))
-        t += prepared.cache_ms
-    children.append(_service_span(
-        t, res, prepared.disk_index,
-        cat="flush" if write else "service",
-    ))
-    root = Span(
-        f"q{tracer.n_queries if tracer is not None else 0}", "query",
-        t0, total,
-        attrs={
-            "mapper": prepared.mapper_name,
-            "policy": prepared.policy,
-            "cells": int(prepared.n_cells),
-            "write": write,
-        },
-        children=tuple(children),
-    )
-    telemetry.observe_query(root, advance=True)
-
-
 def record_scatter(telemetry, prepared, parts, result) -> None:
-    """Record one :func:`~repro.query.scatter.scatter_execute` call.
+    """Record one :func:`~repro.query.scatter.scatter_execute` call
+    (every executed one-shot query, sharded or not) on the batch clock.
 
     ``parts`` holds ``(sub, BatchResult)`` in service order (grouped by
     disk, sub-plans back to back); per disk the cache filter's memory
     service leads and drive batches follow, reproducing the per-disk
-    busy accounting whose max is the query's makespan ``result``.
+    busy accounting whose max is the query's makespan ``result``.  Only
+    a sharded query's root carries a ``disks`` count.
     """
     tracer = telemetry.tracer
     t0 = tracer.clock_ms if tracer is not None else 0.0
@@ -234,17 +202,17 @@ def record_scatter(telemetry, prepared, parts, result) -> None:
             cat="flush" if getattr(sub, "is_write", False) else "service",
         ))
         offsets[disk] = t + res.total_ms
+    attrs = {
+        "mapper": prepared.mapper_name,
+        "policy": prepared.policy,
+        "cells": int(prepared.n_cells),
+    }
+    if prepared.subs[0] is not prepared:  # not its own sub-plan: sharded
+        attrs["disks"] = len(offsets)
+    attrs["write"] = write
     root = Span(
         f"q{tracer.n_queries if tracer is not None else 0}", "query",
-        t0, result.total_ms,
-        attrs={
-            "mapper": prepared.mapper_name,
-            "policy": prepared.policy,
-            "cells": int(prepared.n_cells),
-            "disks": len(offsets),
-            "write": write,
-        },
-        children=tuple(children),
+        t0, result.total_ms, attrs=attrs, children=tuple(children),
     )
     telemetry.observe_query(root, advance=True)
 

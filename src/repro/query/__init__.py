@@ -1,7 +1,7 @@
 """Query workloads and the storage manager that executes them."""
 
 from repro.query.executor import PreparedQuery, QueryResult, StorageManager
-from repro.query.scatter import ShardedPrepared, scatter_execute, subplans
+from repro.query.scatter import ShardedPrepared, scatter_execute
 from repro.query.scheduler import (
     coalesce_lbns,
     effective_policy,
@@ -31,5 +31,4 @@ __all__ = [
     "range_for_selectivity",
     "scatter_execute",
     "slice_plan",
-    "subplans",
 ]

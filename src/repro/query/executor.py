@@ -21,6 +21,11 @@ order; once serviced, the missed blocks and their prefetched neighbors
 are admitted back into the pool (:meth:`StorageManager.admit_prepared`).
 Without a pool — or with a capacity-0 pool — every path below is
 bit-identical to the uncached storage manager.
+
+Execution has one service routine for every prepared form: a one-shot
+:meth:`StorageManager.execute_prepared` goes through
+:func:`repro.query.scatter.scatter_execute`, since a
+:class:`PreparedQuery` is its own single sub-plan.
 """
 
 from __future__ import annotations
@@ -31,11 +36,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.disk.drive import BatchResult
 from repro.errors import QueryError
 from repro.lvm.volume import LogicalVolume
 from repro.mappings.base import Mapper, RequestPlan, coalesce_ranks
-from repro.obs.span import record_one_shot
 from repro.perf.profile import PROBES
 from repro.query.scheduler import effective_policy, merge_plan_runs
 from repro.query.workload import BeamQuery, RangeQuery
@@ -283,37 +286,17 @@ class StorageManager:
     ) -> QueryResult:
         """Service a prepared query in one batch on its disk.
 
-        Drive timing components cover only the miss runs; blocks the
+        A single-disk query is its own only sub-plan, so this is
+        :func:`~repro.query.scatter.scatter_execute` on one drive: the
+        drive timing components cover only the miss runs, and blocks the
         cache filter already claimed add their memory service time to
         ``total_ms`` (and to the block/run counts) without touching the
         mechanical breakdown.  Missed blocks are admitted to the pool —
         with their prefetched neighbors — once serviced.
         """
-        drive = self.volume.drive(prepared.disk_index)
-        if rng is not None:
-            drive.randomize_position(rng)
-        res: BatchResult = drive.service_runs(
-            prepared.plan.starts,
-            prepared.plan.lengths,
-            policy=prepared.policy,
-            window=self.window,
-        )
-        self.admit_prepared(prepared)
-        tele = self.obs
-        if tele is not None:
-            record_one_shot(tele, prepared, res)
-        return QueryResult(
-            mapper=prepared.mapper_name,
-            total_ms=res.total_ms + prepared.cache_ms,
-            n_cells=prepared.n_cells,
-            n_blocks=res.n_blocks + prepared.cache_hits,
-            n_runs=res.n_requests + prepared.cache_runs,
-            seek_ms=res.seek_ms,
-            rotation_ms=res.rotation_ms,
-            transfer_ms=res.transfer_ms,
-            switch_ms=res.switch_ms,
-            policy=prepared.policy,
-        )
+        from repro.query.scatter import scatter_execute
+
+        return scatter_execute(self, prepared, rng=rng)[0]
 
     def admit_prepared(self, prepared) -> None:
         """Admit a serviced query's missed blocks (plus prefetch).

@@ -11,11 +11,13 @@ seek/rotation state, and the query completes when the slowest drive
 finishes (makespan = max over drives), exactly how the §5.3 chunked
 evaluation overlaps per-disk fetches.
 
-A :class:`ShardedPrepared` with a single sub-plan is serviced through
-the very same sequence of drive calls the one-shot
-:meth:`StorageManager.execute_prepared` path makes, which is what makes
-a 1-shard dataset bit-identical to the unsharded stack (the parity
-``tests/shard/test_parity.py`` pins).
+It is also the one-shot path: :meth:`StorageManager.execute_prepared`
+calls :func:`scatter_execute` with a plain
+:class:`~repro.query.executor.PreparedQuery`, which is its own single
+sub-plan.  A :class:`ShardedPrepared` with a single sub-plan therefore
+makes the very same sequence of drive calls as an unsharded query, which
+is what makes a 1-shard dataset bit-identical to the unsharded stack
+(the parity ``tests/shard/test_parity.py`` pins).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from repro.errors import QueryError
 from repro.query.executor import PreparedQuery, QueryResult
 
-__all__ = ["ShardedPrepared", "scatter_execute", "subplans"]
+__all__ = ["ShardedPrepared", "scatter_execute"]
 
 
 @dataclass(frozen=True)
@@ -93,23 +95,17 @@ class ShardedPrepared:
         return sum(sub.cache_ms for sub in self.subs)
 
 
-def subplans(prepared) -> tuple[PreparedQuery, ...]:
-    """The per-disk sub-plans of any prepared form (plain or sharded)."""
-    return prepared.subs
-
-
 def scatter_execute(
     storage,
-    prepared: ShardedPrepared,
+    prepared: ShardedPrepared | PreparedQuery,
     *,
     rng: np.random.Generator | None = None,
 ) -> tuple[QueryResult, dict[int, dict]]:
-    """Service a sharded query's sub-plans with scatter-gather semantics.
+    """Service a prepared query's sub-plans with scatter-gather semantics.
 
     Per disk (first-appearance order): the head is randomised once from
-    ``rng`` — the same single draw per drive the one-shot executor makes
-    — then that disk's sub-plans are serviced back to back, each admitted
-    to the cache after service.  Drives run concurrently, so the query's
+    ``rng``, then that disk's sub-plans are serviced back to back, each
+    admitted to the cache after service.  Drives run concurrently, so the query's
     ``total_ms`` is the *makespan*: the largest per-disk busy time
     (mechanical service plus memory-served cache time).  The mechanical
     component fields (seek/rotation/transfer/switch) sum the work done

@@ -312,10 +312,9 @@ class ShardedStorageManager(StorageManager):
     # ------------------------------------------------------------------
 
     def execute_prepared(self, prepared, *, rng=None) -> QueryResult:
-        if not isinstance(prepared, ShardedPrepared):
-            return super().execute_prepared(prepared, rng=rng)
         result, per_disk = scatter_execute(self, prepared, rng=rng)
-        self.shard_stats.record(per_disk, result.total_ms)
+        if isinstance(prepared, ShardedPrepared):
+            self.shard_stats.record(per_disk, result.total_ms)
         return result
 
     def write_copies(self, chunk_index: int):

@@ -17,7 +17,6 @@ from repro.api.dataset import Dataset
 from repro.explain import analyze_query, explain_query, prepare_readonly
 from repro.explain.classify import classify_runs
 from repro.query import slice_plan
-from repro.query.scatter import subplans
 from repro.query.workload import BeamQuery, RangeQuery
 
 LAYOUTS = ("naive", "multimap", "zorder", "hilbert", "gray")
@@ -78,7 +77,7 @@ class TestExplainProperties:
         ds = Dataset.create(shape, layout=layout, drive="minidrive",
                             seed=seed)
         prepared = prepare_readonly(ds, query)
-        for sub in subplans(prepared):
+        for sub in prepared.subs:
             whole = classify_runs(ds.volume, sub.disk_index, sub.plan)
             slices = slice_plan(sub.plan, max_runs)
             recomposed = {"sequential": 0, "semi_sequential": 0,

@@ -4,8 +4,9 @@ import pytest
 
 from repro.api import Dataset
 from repro.errors import QueryError, ReplicaError
+from repro.query.workload import BeamQuery
 from repro.replica import FailureEvent, FailureInjector, FailureSchedule
-from repro.traffic import QueryMix, TrafficConfig, TrafficSim
+from repro.traffic import QueryMix, Replay, TrafficConfig, TrafficSim
 from repro.traffic.clients import TrafficClient
 
 SHAPE = (24, 12, 12)
@@ -227,6 +228,94 @@ class TestDegradedTraffic:
         # re-read from that disk
         assert len(ds.cache._resident.get(1, ())) == 0
         assert ds.cache.occupancy > 0  # the live disks' blocks landed
+
+    @staticmethod
+    def assert_each_query_once(report, counts):
+        """Every client's queries complete exactly once, in order."""
+        by_client: dict = {}
+        for tr in report.traces:
+            by_client.setdefault(tr.client, []).append(tr.index)
+        assert {c: sorted(ix) for c, ix in by_client.items()} == {
+            c: list(range(n)) for c, n in counts.items()
+        }
+
+    def test_failover_sub_served_from_cache(self):
+        """A failover sub-plan whose blocks are all resident never
+        occupies the replica drive: its query completes on the memory
+        share alone, after the kill, and the abandoned dead-disk sub is
+        not admitted to the pool."""
+        ds = Dataset.create(
+            (16, 8, 8), layout="multimap", drive="minidrive", seed=2,
+        ).with_shards(2).with_replication(
+            2, read_policy="round_robin",
+        ).with_cache(100000).with_telemetry()
+        queries = [BeamQuery(0, (0, 3, 3)), BeamQuery(1, (5, 0, 2)),
+                   BeamQuery(2, (9, 4, 0))]
+        kill = 8.0
+        report = (
+            ds.traffic()
+            .clients(3, mix=Replay(queries), queries=6)
+            .slice_runs(1)
+            .kill(kill, 0)
+            .run()
+        )
+        self.assert_each_query_once(report, {"c0": 6, "c1": 6, "c2": 6})
+        assert report.meta["failures"]["redispatched_subs"] >= 1
+        failed_over = [
+            root for root in ds.telemetry.tracer.roots
+            if any(c.cat == "failover" for c in root.children)
+        ]
+        assert failed_over
+        for root in failed_over:
+            assert root.t1_ms >= kill
+        # at least one failed-over query was served from memory after
+        # the kill: none of its drive service starts at or after it
+        assert any(
+            all(c.t0_ms < kill for c in root.children
+                if c.cat == "service")
+            for root in failed_over
+        )
+        # disk 0 stayed dead: any frame of it would be an admitted
+        # abandoned sub-plan
+        assert len(ds.cache._resident.get(0, ())) == 0
+        assert ds.cache.occupancy > 0
+
+    def test_dropped_write_as_last_pending_disk(self):
+        """A flush whose only pending disk dies has its write dropped
+        (the live copy already carries it): the batch still completes,
+        exactly once, at or after the kill, and the readers' queries on
+        the dead disk fail over."""
+        ds = Dataset.create(
+            (24, 12, 12), layout="multimap", drive="minidrive", seed=42,
+        ).with_shards(2).with_replication(2)
+        # every beam lies in chunk 0 (z < 6)
+        queries = [BeamQuery(0, (0, 1, 1)), BeamQuery(1, (3, 0, 4)),
+                   BeamQuery(0, (0, 7, 2))]
+        kill = 136.0
+        report = (
+            ds.traffic()
+            .clients(6, mix=Replay(queries), queries=10)
+            .ingest(stream="uniform", n_points=768, batch_points=128,
+                    flush_points=128)
+            .kill(kill, 0)
+            .run()
+        )
+        counts = {f"c{i}": 10 for i in range(6)}
+        counts["ingest0"] = 6
+        self.assert_each_query_once(report, counts)
+        failures = report.meta["failures"]
+        assert failures["dropped_write_subs"] >= 1
+        assert failures["redispatched_subs"] >= 1
+        # the batch in flight at the kill completes after it, and the
+        # closed-loop writer carries on from that completion
+        writes = sorted((tr for tr in report.traces
+                         if tr.client == "ingest0"),
+                        key=lambda tr: tr.index)
+        hit = [tr for tr in writes
+               if tr.arrival_ms < kill <= tr.completion_ms]
+        assert len(hit) == 1
+        for prev, nxt in zip(writes, writes[1:]):
+            assert nxt.arrival_ms == prev.completion_ms
 
     def test_engine_level_failures_param(self, small_model):
         """TrafficSim accepts the schedule directly (no façade)."""

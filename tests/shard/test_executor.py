@@ -5,7 +5,7 @@ import pytest
 
 from repro.api import Dataset
 from repro.errors import DatasetError, QueryError
-from repro.query.scatter import ShardedPrepared, subplans
+from repro.query.scatter import ShardedPrepared
 from repro.query.workload import BeamQuery, RangeQuery
 
 SHAPE = (24, 12, 12)
@@ -148,7 +148,7 @@ class TestExecute:
         p = plain.storage.prepare(
             plain.mapper, BeamQuery(axis=1, fixed=(0, 0, 0))
         )
-        assert subplans(p) == (p,)
+        assert p.subs == (p,)
 
 
 class TestDatasetIntegration:
