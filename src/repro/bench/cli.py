@@ -1,70 +1,31 @@
 """Command-line entry point: ``python -m repro.bench`` / ``repro-bench``
 (also installed as ``multimap-bench``).
 
-Eleven modes: the default regenerates paper figures, the ``traffic``
-subcommand runs the multi-client traffic storm
-(:func:`repro.traffic.storm.run_storm`), the ``cache`` subcommand
-sweeps buffer-pool capacities per layout
-(:func:`repro.cache.sweep.run_cache_sweep`), the ``scale`` subcommand
-sweeps shard counts per layout
-(:func:`repro.shard.scale.run_scale_sweep`), the ``avail`` subcommand
-sweeps replication factors under a seeded disk failure
-(:func:`repro.replica.avail.run_avail_sweep`), the ``ingest``
-subcommand sweeps ingest goodput per layout x bulk loader
-(:func:`repro.ingest.sweep.run_ingest_sweep`), the ``perf``
-subcommand measures plan-preparation throughput per layout
-(:func:`repro.perf.sweep.run_perf_sweep`) — with ``--check`` it gates
-the numbers against a pinned baseline such as the checked-in
-``BENCH_perf.json`` and exits non-zero on regression — and the
-``trace`` subcommand runs a telemetry-attached storm
-(:func:`repro.obs.trace_cmd.run_trace`) and prints the slowest
-queries, phase totals, and a per-disk utilisation timeline (with
-``--export`` it writes the span trace through a registered exporter).
-The ``dashboard`` subcommand runs a monitored storm
-(:func:`repro.monitor.dashboard.run_dashboard`) and renders the
-windowed time-series, SLO alerts, and health timeline, the
-``explain`` subcommand inspects a query's prepared plan and predicted
-mechanical cost per layout (:func:`repro.explain.run_explain`) — with
-``--analyze`` it executes once and reconciles prediction against
-measurement, with ``--model`` it prints the analytic model's predicted
-speedups — and the ``diff`` subcommand compares two exported run
-reports (:func:`repro.monitor.diff.diff_runs`), exiting 1 when a
-metric moved beyond the tolerance band (``--attribute`` ranks the
-suspects behind the regression).
-The ``--list-*`` flags (one per registry, all driven by the
-``_LISTINGS`` table below) print the registered names with
-descriptions and exit, so users can discover what every registry holds
-without reading source.
+The default mode regenerates paper figures.  The six layout × parameter
+sweeps (``traffic``, ``cache``, ``scale``, ``avail``, ``ingest``,
+``perf``) are declarations on :mod:`repro.bench.sweep`; their
+subcommands are built in one loop from its registry, one flag per
+declared parameter plus ``--shape``, ``--layouts``, ``--drive``,
+``--json`` and ``--quiet``.  ``perf`` alone adds ``--check`` to gate
+against a pinned baseline such as ``BENCH_perf.json`` (exit 1 on
+regression).  ``traffic``, ``trace`` (a telemetry-attached storm) and
+``dashboard`` (a monitored storm) share the storm argument group
+:data:`repro.traffic.storm.STORM_PARAMS`.  ``explain`` inspects a
+query's plan and predicted cost per layout, and ``diff`` compares two
+exported run reports, exiting 1 on a regression.  The ``--list-*``
+flags (one per registry, driven by ``_LISTINGS``) print the registered
+names with descriptions.
 
 Examples::
 
     repro-bench --list-layouts --list-drives
-    repro-bench --list-policies --list-prefetchers
-    repro-bench --list-placements --list-read-policies
     repro-bench --scale small --figure fig6a
-    repro-bench --scale paper --out results/
-    repro-bench traffic --shape 64,64,32 --clients 1,2,4 --queries 10
     repro-bench traffic --arrival poisson --rate 50 --json storm.json
-    repro-bench cache --shape 32,16,16 --capacities 0,1024,4096
-    repro-bench cache --policy slru --prefetch track --json curve.json
     repro-bench scale --shape 64,64,32 --shards 1,2,4,8
-    repro-bench scale --strategy cube_aligned --json scale.json
-    repro-bench avail --shape 64,16,16 --disks 3 --ks 1,2,3
-    repro-bench avail --placement locality_aligned --json avail.json
-    repro-bench --list-loaders --list-streams
-    repro-bench ingest --shape 64,16,16 --stream clustered --k 2
-    repro-bench ingest --loaders fixed,adaptive --json ingest.json
-    repro-bench --list-probes
-    repro-bench perf --json BENCH_perf.json
     repro-bench perf --check BENCH_perf.json --json results/perf.json
-    repro-bench --list-rules
-    repro-bench dashboard --shape 32,12,12 --shards 2 --k 2 \\
-        --kill-at 40 --revive-at 160 --json run_a.json
-    repro-bench diff run_a.json run_b.json --tolerance 0.05
-    repro-bench --list-costs
-    repro-bench explain --shape 240,12,12 --layouts multimap,zorder
-    repro-bench explain --axis 1 --analyze --model --json explain.json
+    repro-bench dashboard --shards 2 --k 2 --kill-at 40 --json run_a.json
     repro-bench diff run_a.json run_b.json --attribute
+    repro-bench explain --axis 1 --analyze --model --json explain.json
 """
 
 from __future__ import annotations
@@ -74,233 +35,123 @@ import json
 from pathlib import Path
 
 from repro.bench.harness import FIGURES, run_all
+from repro.bench.sweep import DEFAULT_LAYOUTS, SWEEPS, ints, strs, write_json
 
 __all__ = ["main"]
 
 
-def _write_json_report(dest: str, data: dict, default_name: str,
-                       quiet: bool) -> Path:
-    """Shared ``--json`` writer for report subcommands.
+def _arg_type(convert):
+    """A parameter's converter as an argparse type, keeping its error
+    message."""
+    def parse(text):
+        try:
+            return convert(text)
+        except (TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-    ``dest`` may be a ``.json`` file path or a directory (the payload
-    then lands in ``dest/default_name``); parents are created either
-    way and the resolved path is announced unless ``quiet``.
-    """
-    path = Path(dest)
-    if path.suffix != ".json":
-        path.mkdir(parents=True, exist_ok=True)
-        path = path / default_name
-    else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=2, default=str))
-    if not quiet:
-        print(f"\nsaved {path}")
-    return path
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type for counts that must be >= 1 (a zero or negative
-    value would silently render an empty table)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}"
-        ) from None
+def _positive(text: str) -> int:
+    """Counts that must be >= 1 (a zero or negative value would silently
+    render an empty table)."""
+    value = int(text)
     if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}"
-        )
+        raise ValueError(f"must be a positive integer, got {value}")
     return value
 
 
-def _csv_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v)
+def _add_output_args(p, shown: str = "table") -> None:
+    p.add_argument("--json", default=None,
+                   help="JSON output file (or directory)")
+    p.add_argument("--quiet", action="store_true",
+                   help=f"suppress {shown} output")
 
 
-def _csv_strs(text: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in text.split(",") if v.strip())
-
-
-def _parse_mix(text: str):
-    """``beam:1,beam:2,range:1.0`` -> :class:`QueryMix`."""
-    from repro.traffic import BeamDraw, QueryMix, RangeDraw
-
-    parts = []
-    for item in _csv_strs(text):
-        kind, _, arg = item.partition(":")
-        try:
-            if kind == "beam":
-                parts.append(BeamDraw(int(arg)))
-            elif kind == "range":
-                parts.append(RangeDraw(float(arg)))
-            else:
-                raise ValueError(kind)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"mix parts are beam:<axis> or range:<pct>; got {item!r}"
-            ) from None
-    if not parts:
-        raise argparse.ArgumentTypeError(
-            "mix needs at least one beam:<axis> or range:<pct> part"
+def _add_params(parser, params) -> None:
+    """One flag per declared parameter (``flag=None`` ones stay
+    library-only)."""
+    for p in params:
+        if p.flag is None:
+            continue
+        if p.type is bool:
+            parser.add_argument(p.flag, dest=p.name, action="store_true",
+                                help=p.help)
+            continue
+        metavar = None if p.choices else p.flag[2:].upper().replace("-", "_")
+        parser.add_argument(
+            p.flag, dest=p.name, default=p.default, choices=p.choices,
+            type=_arg_type(p.type) if p.type else None, help=p.help,
+            metavar=metavar,
         )
-    return QueryMix(parts)
 
 
-def _traffic_main(args) -> int:
-    from repro.traffic import (
-        BurstyArrivals,
-        ClosedLoop,
-        PoissonArrivals,
-        render_storm,
-        run_storm,
-    )
-
-    if args.arrival == "closed":
-        arrival = ClosedLoop(think_ms=args.think_ms)
-    elif args.arrival == "poisson":
-        arrival = PoissonArrivals(rate_qps=args.rate)
-    else:
-        arrival = BurstyArrivals(burst_rate_per_s=args.rate)
-    data = run_storm(
-        _csv_ints(args.shape),
-        layouts=_csv_strs(args.layouts),
-        client_counts=_csv_ints(args.clients),
-        drive=args.drive,
-        queries_per_client=args.queries,
-        mix=args.mix,
-        arrival=arrival,
-        seed=args.seed,
-        slice_runs=args.slice_runs if args.slice_runs > 0 else None,
-        head=args.head,
-    )
-    if not args.quiet:
-        print(render_storm(data))
-    dest = args.json or args.out
-    if dest:
-        _write_json_report(dest, data, "traffic.json", args.quiet)
-    return 0
-
-
-def _cache_main(args) -> int:
-    from repro.cache import render_cache_sweep, run_cache_sweep
-
-    data = run_cache_sweep(
-        _csv_ints(args.shape),
-        layouts=_csv_strs(args.layouts),
-        capacities=_csv_ints(args.capacities),
-        policy=args.policy,
-        prefetch=args.prefetch,
-        n_beams=args.beams,
-        repeats=args.repeats,
-        axes=_csv_ints(args.axes),
-        region_frac=args.region,
-        drive=args.drive,
-        seed=args.seed,
-    )
-    if not args.quiet:
-        print(render_cache_sweep(data))
-    if args.json:
-        _write_json_report(args.json, data, "cache.json", args.quiet)
-    return 0
-
-
-def _add_cache_parser(subparsers) -> None:
-    p = subparsers.add_parser(
-        "cache",
-        help="hit-ratio-vs-capacity sweep per layout",
-        description="Replay a seeded overlapping-beam workload against "
-        "each layout at rising buffer-pool capacities and report the "
-        "cache hit ratio, prefetch accuracy, and query timings — the "
-        "memory half of MultiMap's locality dividend.",
-    )
-    p.add_argument("--shape", default="120,16,16",
-                   help="dataset dims, comma-separated; the default "
-                   "fills whole minidrive tracks along dim 0")
-    p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
+def _add_sweep_parser(subparsers, sweep) -> None:
+    """A sweep's subcommand, derived from its declaration (``perf``
+    alone adds its ``--check`` gate)."""
+    p = subparsers.add_parser(sweep.name, help=sweep.help,
+                              description=sweep.description)
+    default_shape = ",".join(str(s) for s in sweep.shape)
+    p.add_argument("--shape", type=ints, default=sweep.shape,
+                   help=f"dataset dims, comma-separated "
+                   f"(default {default_shape})")
+    p.add_argument("--layouts", type=strs, default=DEFAULT_LAYOUTS,
                    help="comma-separated registered layouts")
-    p.add_argument("--capacities", default="0,4096,12288,24576",
-                   help="comma-separated pool capacities in blocks "
-                   "(0 = uncached baseline)")
-    p.add_argument("--policy", default="lru",
-                   help="eviction policy (lru, slru, scan, or registered)")
-    p.add_argument("--prefetch", default="track",
-                   help="prefetcher (none, track, adjacent, or registered)")
-    p.add_argument("--beams", type=int, default=16,
-                   help="beams per round (default 16)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="rounds over the same beams (default 3)")
-    p.add_argument("--axes", default="1",
-                   help="beam axes, cycled (default 1)")
-    p.add_argument("--region", type=float, default=0.4,
-                   help="fraction of each dim beam anchors cluster in")
-    p.add_argument("--drive", default="minidrive",
-                   help="registered drive model (default minidrive)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="workload + head-position seed")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress table output")
-    p.set_defaults(func=_cache_main)
+    _add_params(p, sweep.all_params)
+    p.add_argument("--drive", default=sweep.drive,
+                   help=f"registered drive model (default {sweep.drive})")
+    _add_output_args(p)
+    if sweep.name == "perf":
+        _add_perf_check(p)
+
+    def run(args) -> int:
+        data = sweep.run(
+            args.shape, layouts=args.layouts, drive=args.drive,
+            **{q.name: getattr(args, q.name) for q in sweep.all_params
+               if q.flag},
+        )
+        if not args.quiet:
+            print(sweep.render(data))
+        if args.json:
+            write_json(args.json, data, f"{sweep.name}.json", args.quiet)
+        return _perf_check(args, data) if sweep.name == "perf" else 0
+
+    p.set_defaults(func=run)
 
 
-def _scale_main(args) -> int:
-    from repro.shard import render_scale_sweep, run_scale_sweep
+def _add_perf_check(p) -> None:
+    p.add_argument("--check", default=None, metavar="BASELINE",
+                   help="baseline JSON (e.g. BENCH_perf.json) to gate "
+                   "against; exit 1 on regression")
+    p.add_argument("--tolerance", type=float, default=0.5,
+                   help="allowed fractional drop in speedup_vs_reference "
+                   "and exec_speedup_vs_reference (default 0.5)")
+    p.add_argument("--throughput-tolerance", type=float, default=0.9,
+                   help="allowed fractional drop in absolute plans/s and "
+                   "cells/s — wide by design, shared runners vary "
+                   "(default 0.9)")
 
-    data = run_scale_sweep(
-        _csv_ints(args.shape),
-        layouts=_csv_strs(args.layouts),
-        shard_counts=_csv_ints(args.shards),
-        strategy=args.strategy,
-        split_axis=args.split_axis,
-        n_beams=args.beams,
-        axes=_csv_ints(args.axes) if args.axes else None,
-        drive=args.drive,
-        seed=args.seed,
+
+def _perf_check(args, data) -> int:
+    if not args.check:
+        return 0
+    from repro.perf import check_perf
+
+    baseline = json.loads(Path(args.check).read_text())
+    violations = check_perf(
+        data, baseline,
+        tolerance=args.tolerance,
+        throughput_tolerance=args.throughput_tolerance,
     )
+    if violations:
+        print(f"perf check FAILED against {args.check}:")
+        for v in violations:
+            print(f"  {v}")
+        return 1
     if not args.quiet:
-        print(render_scale_sweep(data))
-    if args.json:
-        _write_json_report(args.json, data, "scale.json", args.quiet)
+        print(f"perf check passed against {args.check}")
     return 0
-
-
-def _add_scale_parser(subparsers) -> None:
-    p = subparsers.add_parser(
-        "scale",
-        help="speedup-vs-disks sweep per layout",
-        description="Replay a seeded beam workload against each layout "
-        "at rising shard counts (chunks declustered across member disks,"
-        " queries serviced scatter-gather) and report throughput and "
-        "speedup per mapping — the multi-disk half of MultiMap's "
-        "locality dividend.",
-    )
-    p.add_argument("--shape", default="64,64,32",
-                   help="dataset dims, comma-separated (default 64,64,32)")
-    p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
-                   help="comma-separated registered layouts")
-    p.add_argument("--shards", default="1,2,4",
-                   help="comma-separated shard counts to sweep")
-    p.add_argument("--strategy", default="disk_modulo",
-                   help="registered declustering strategy "
-                   "(round_robin, disk_modulo, cube_aligned, ...)")
-    p.add_argument("--split-axis", type=int, default=1,
-                   help="axis the chunking slabs (default 1)")
-    p.add_argument("--beams", type=int, default=12,
-                   help="beams in the fixed workload (default 12)")
-    p.add_argument("--axes", default=None,
-                   help="beam axes, cycled (default: every non-streaming "
-                   "axis)")
-    p.add_argument("--drive", default="atlas10k3",
-                   help="registered drive model (default atlas10k3)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="workload + head-position seed")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress table output")
-    p.set_defaults(func=_scale_main)
 
 
 #: one row per registry the CLI can list: (argparse dest, printed
@@ -365,295 +216,43 @@ def _list_registries(args) -> bool:
     return bool(sections)
 
 
-def _avail_main(args) -> int:
-    from repro.replica import render_avail_sweep, run_avail_sweep
+def _add_storm_parser(subparsers, name, *, clients, queries, **kw):
+    """``trace``/``dashboard``: one layout, one storm; the storm group
+    is the ``traffic`` sweep's own parameters."""
+    from repro.traffic.storm import STORM_PARAMS
 
-    data = run_avail_sweep(
-        _csv_ints(args.shape),
-        layouts=_csv_strs(args.layouts),
-        ks=_csv_ints(args.ks),
-        n_disks=args.disks,
-        placement=args.placement,
-        read_policy=args.read_policy,
-        n_beams=args.beams,
-        axes=_csv_ints(args.axes) if args.axes else None,
-        drive=args.drive,
-        seed=args.seed,
-        kill_disk=args.kill_disk,
-    )
-    if not args.quiet:
-        print(render_avail_sweep(data))
-    if args.json:
-        _write_json_report(args.json, data, "avail.json", args.quiet)
-    return 0
-
-
-def _add_avail_parser(subparsers) -> None:
-    p = subparsers.add_parser(
-        "avail",
-        help="availability/overhead-vs-k sweep per layout",
-        description="Replay a seeded beam workload against each layout "
-        "at rising replication factors, healthy and with one seeded "
-        "member-disk failure, and report throughput in both modes plus "
-        "single-failure availability — the fault-tolerance half of "
-        "MultiMap's locality dividend.",
-    )
-    p.add_argument("--shape", default="64,16,16",
-                   help="dataset dims, comma-separated (default 64,16,16)")
-    p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
-                   help="comma-separated registered layouts")
-    p.add_argument("--ks", default="1,2,3",
-                   help="comma-separated replication factors to sweep")
-    p.add_argument("--disks", type=int, default=3,
-                   help="member disks (>= max k, default 3)")
-    p.add_argument("--placement", default="rotated",
-                   help="registered replica placement "
-                   "(rotated, locality_aligned, ...)")
-    p.add_argument("--read-policy", default="primary",
-                   help="registered read policy "
-                   "(primary, round_robin, least_loaded, ...)")
-    p.add_argument("--beams", type=int, default=8,
-                   help="beams in the fixed workload (default 8)")
-    p.add_argument("--axes", default=None,
-                   help="beam axes, cycled (default: every non-streaming "
-                   "axis)")
-    p.add_argument("--kill-disk", type=int, default=None,
-                   help="member disk to kill (default: seeded draw)")
-    p.add_argument("--drive", default="atlas10k3",
-                   help="registered drive model (default atlas10k3)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="workload + head-position + victim seed")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress table output")
-    p.set_defaults(func=_avail_main)
-
-
-def _ingest_main(args) -> int:
-    from repro.ingest import render_ingest_sweep, run_ingest_sweep
-
-    data = run_ingest_sweep(
-        _csv_ints(args.shape),
-        layouts=_csv_strs(args.layouts),
-        loaders=_csv_strs(args.loaders),
-        stream=args.stream,
-        n_points=args.points,
-        batch_points=args.batch_points,
-        flush_points=args.flush_points,
-        n_shards=args.shards,
-        k=args.k,
-        strategy=args.strategy,
-        drive=args.drive,
-        seed=args.seed,
-        reorganize=args.reorganize,
-    )
-    if not args.quiet:
-        print(render_ingest_sweep(data))
-    if args.json:
-        _write_json_report(args.json, data, "ingest.json", args.quiet)
-    return 0
-
-
-def _add_ingest_parser(subparsers) -> None:
-    p = subparsers.add_parser(
-        "ingest",
-        help="ingest-MB/s sweep, layouts x loaders",
-        description="Stream a seeded record stream into each layout "
-        "under each registered bulk loader (buffered, flushed as whole "
-        "basic cubes, replica-consistent) and report write goodput and "
-        "overflow per mapping — the write-path half of MultiMap's "
-        "locality dividend.",
-    )
-    p.add_argument("--shape", default="64,16,16",
-                   help="dataset dims, comma-separated (default 64,16,16)")
-    p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
-                   help="comma-separated registered layouts")
-    p.add_argument("--loaders", default="fixed,adaptive",
-                   help="comma-separated registered loaders")
-    p.add_argument("--stream", default="clustered",
-                   help="registered record stream "
-                   "(uniform, clustered, drifting)")
-    p.add_argument("--points", type=int, default=4096,
-                   help="points streamed per cell (default 4096)")
-    p.add_argument("--batch-points", type=int, default=256,
-                   help="points per arriving batch (default 256)")
-    p.add_argument("--flush-points", type=int, default=1024,
-                   help="per-disk backlog that triggers a flush")
-    p.add_argument("--shards", type=int, default=2,
-                   help="member disks (default 2)")
-    p.add_argument("--k", type=int, default=1,
-                   help="replication factor (default 1)")
-    p.add_argument("--strategy", default="disk_modulo",
-                   help="registered declustering strategy")
-    p.add_argument("--reorganize", action="store_true",
-                   help="fold overflow chains back after the stream "
-                   "(modelled background I/O counted in total time)")
-    p.add_argument("--drive", default="minidrive",
-                   help="registered drive model (default minidrive)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="stream + head-position seed")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress table output")
-    p.set_defaults(func=_ingest_main)
-
-
-def _perf_main(args) -> int:
-    from repro.perf import check_perf, render_perf_sweep, run_perf_sweep
-
-    data = run_perf_sweep(
-        _csv_ints(args.shape),
-        layouts=_csv_strs(args.layouts),
-        drive=args.drive,
-        n_beams=args.beams,
-        n_ranges=args.ranges,
-        selectivity_pct=args.selectivity,
-        full_ranges=args.full_ranges,
-        repeats=args.repeats,
-        ref_plans=args.ref_plans,
-        ref_cell_cap=args.ref_cell_cap,
-        seed=args.seed,
-    )
-    if not args.quiet:
-        print(render_perf_sweep(data))
-    if args.json:
-        _write_json_report(args.json, data, "perf.json", args.quiet)
-    if args.check:
-        baseline = json.loads(Path(args.check).read_text())
-        violations = check_perf(
-            data, baseline,
-            tolerance=args.tolerance,
-            throughput_tolerance=args.throughput_tolerance,
-        )
-        if violations:
-            print(f"perf check FAILED against {args.check}:")
-            for v in violations:
-                print(f"  {v}")
-            return 1
-        if not args.quiet:
-            print(f"perf check passed against {args.check}")
-    return 0
-
-
-def _add_perf_parser(subparsers) -> None:
-    p = subparsers.add_parser(
-        "perf",
-        help="plan-preparation throughput sweep per layout",
-        description="Replay a seeded beam+range workload through each "
-        "layout's vectorized plan-preparation fast path and report "
-        "plans/s, cells/s, the prep-vs-service split, the speedup "
-        "over the pure-Python per-cell reference, and the drive SPTF "
-        "scheduler's speedup over its numpy-per-step reference (both "
-        "asserted bit-identical before timing is trusted).  With "
-        "--check, gate the numbers against a pinned baseline JSON and "
-        "exit 1 on regression.",
-    )
-    p.add_argument("--shape", default="64,64,32",
+    p = subparsers.add_parser(name, **kw)
+    p.add_argument("--shape", type=ints, default=(64, 64, 32),
                    help="dataset dims, comma-separated (default 64,64,32)")
-    p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
-                   help="comma-separated registered layouts")
+    p.add_argument("--layout", default="multimap",
+                   help="registered layout (default multimap)")
     p.add_argument("--drive", default="atlas10k3",
                    help="registered drive model (default atlas10k3)")
-    p.add_argument("--beams", type=int, default=12,
-                   help="beams in the workload, axes cycled (default 12)")
-    p.add_argument("--ranges", type=int, default=4,
-                   help="random range cubes in the workload (default 4)")
-    p.add_argument("--selectivity", type=float, default=12.5,
-                   help="range-cube selectivity in percent (default 12.5)")
-    p.add_argument("--full-ranges", type=int, default=1,
-                   help="full-box scans in the workload (default 1)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="timing passes, best-of (default 3)")
-    p.add_argument("--ref-plans", type=int, default=8,
-                   help="workload prefix prepared through the reference "
-                   "path for the speedup metric (default 8)")
-    p.add_argument("--ref-cell-cap", type=int, default=4096,
-                   help="skip queries above this many cells in the "
-                   "reference subset (default 4096)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="workload seed (default 42)")
-    p.add_argument("--check", default=None, metavar="BASELINE",
-                   help="baseline JSON (e.g. BENCH_perf.json) to gate "
-                   "against; exit 1 on regression")
-    p.add_argument("--tolerance", type=float, default=0.5,
-                   help="allowed fractional drop in speedup_vs_reference "
-                   "and exec_speedup_vs_reference (default 0.5)")
-    p.add_argument("--throughput-tolerance", type=float, default=0.9,
-                   help="allowed fractional drop in absolute plans/s and "
-                   "cells/s — wide by design, shared runners vary "
-                   "(default 0.9)")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress table output")
-    p.set_defaults(func=_perf_main)
+    p.add_argument("--clients", type=int, default=clients,
+                   help=f"concurrent clients (default {clients})")
+    p.add_argument("--queries", type=int, default=queries,
+                   help=f"queries per client (default {queries})")
+    _add_params(p.add_argument_group("storm"), STORM_PARAMS)
+    _add_output_args(p)
+    return p
 
 
-def _add_traffic_parser(subparsers) -> None:
-    p = subparsers.add_parser(
-        "traffic",
-        help="multi-client traffic storm across layouts",
-        description="Sweep layouts x client counts under a seeded "
-        "concurrent workload and report throughput and latency "
-        "percentiles per mapping.",
+def _storm_kwargs(args) -> dict:
+    from repro.traffic.storm import STORM_PARAMS
+
+    return dict(
+        layout=args.layout, drive=args.drive, clients=args.clients,
+        queries=args.queries,
+        **{p.name: getattr(args, p.name) for p in STORM_PARAMS},
     )
-    p.add_argument("--shape", default="64,64,32",
-                   help="dataset dims, comma-separated (default 64,64,32)")
-    p.add_argument("--layouts", default="naive,zorder,hilbert,multimap",
-                   help="comma-separated registered layouts")
-    p.add_argument("--clients", default="1,2,4,8",
-                   help="comma-separated client counts to sweep")
-    p.add_argument("--queries", type=int, default=20,
-                   help="queries per client (default 20)")
-    p.add_argument("--mix", default=None, type=_parse_mix,
-                   help="query mix, e.g. 'beam:1,beam:2,range:1.0' "
-                   "(default: beams over axes 1..n-1)")
-    p.add_argument("--arrival", choices=("closed", "poisson", "bursty"),
-                   default="closed", help="arrival model (default closed)")
-    p.add_argument("--think-ms", type=float, default=0.0,
-                   help="closed-loop think time in ms")
-    p.add_argument("--rate", type=float, default=50.0,
-                   help="per-client rate for poisson (q/s) or bursty "
-                   "(bursts/s)")
-    p.add_argument("--drive", default="atlas10k3",
-                   help="registered drive model (default atlas10k3)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="base seed; every client stream derives from it")
-    p.add_argument("--slice-runs", type=int, default=64,
-                   help="runs per service slice; 0 = whole query per "
-                   "batch (default 64)")
-    p.add_argument("--head", choices=("random", "carry"), default="random",
-                   help="per-query random head position or carry-over")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory)")
-    p.add_argument("--out", default=None,
-                   help="deprecated alias of --json")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress table output")
-    p.set_defaults(func=_traffic_main)
 
 
 def _trace_main(args) -> int:
     from repro.obs.trace_cmd import render_trace, run_trace
 
     data, tele = run_trace(
-        _csv_ints(args.shape),
-        layout=args.layout,
-        drive=args.drive,
-        clients=args.clients,
-        queries=args.queries,
-        mix=args.mix,
-        arrival=args.arrival,
-        rate=args.rate,
-        think_ms=args.think_ms,
-        seed=args.seed,
-        slice_runs=args.slice_runs if args.slice_runs else None,
-        head=args.head,
-        top=args.top,
-        bins=args.bins,
-        exporter=args.export,
+        args.shape, top=args.top, bins=args.bins, exporter=args.export,
+        **_storm_kwargs(args),
     )
     if not args.quiet:
         print(render_trace(data))
@@ -665,13 +264,13 @@ def _trace_main(args) -> int:
         else:
             print(text, end="" if text.endswith("\n") else "\n")
     if args.json:
-        _write_json_report(args.json, data, "trace.json", args.quiet)
+        write_json(args.json, data, "trace.json", args.quiet)
     return 0
 
 
 def _add_trace_parser(subparsers) -> None:
-    p = subparsers.add_parser(
-        "trace",
+    p = _add_storm_parser(
+        subparsers, "trace", clients=2, queries=8,
         help="telemetry-attached storm: slowest queries, phase totals, "
         "per-disk utilisation",
         description="Run one traffic storm with tracing and metrics "
@@ -680,34 +279,7 @@ def _add_trace_parser(subparsers) -> None:
         "timeline.  --export renders the span trace through a "
         "registered exporter (see --list-exporters).",
     )
-    p.add_argument("--shape", default="64,64,32",
-                   help="dataset dims, comma-separated (default 64,64,32)")
-    p.add_argument("--layout", default="multimap",
-                   help="registered layout (default multimap)")
-    p.add_argument("--drive", default="atlas10k3",
-                   help="registered drive model (default atlas10k3)")
-    p.add_argument("--clients", type=int, default=2,
-                   help="concurrent clients (default 2)")
-    p.add_argument("--queries", type=int, default=8,
-                   help="queries per client (default 8)")
-    p.add_argument("--mix", default=None, type=_parse_mix,
-                   help="query mix, e.g. 'beam:1,beam:2,range:1.0' "
-                   "(default: beams over axes 1..n-1)")
-    p.add_argument("--arrival", choices=("closed", "poisson", "bursty"),
-                   default="closed", help="arrival model (default closed)")
-    p.add_argument("--think-ms", type=float, default=0.0,
-                   help="closed-loop think time in ms")
-    p.add_argument("--rate", type=float, default=50.0,
-                   help="per-client rate for poisson (q/s) or bursty "
-                   "(bursts/s)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="base seed; every client stream derives from it")
-    p.add_argument("--slice-runs", type=int, default=64,
-                   help="runs per service slice; 0 = whole query per "
-                   "batch (default 64)")
-    p.add_argument("--head", choices=("random", "carry"), default="random",
-                   help="per-query random head position or carry-over")
-    p.add_argument("--top", type=_positive_int, default=5,
+    p.add_argument("--top", type=_arg_type(_positive), default=5,
                    help="slowest queries to show (default 5, must be "
                    "positive)")
     p.add_argument("--bins", type=int, default=24,
@@ -718,10 +290,6 @@ def _add_trace_parser(subparsers) -> None:
                    "(jsonl, chrome, prometheus)")
     p.add_argument("--trace-out", default=None,
                    help="file for the exported trace (default: stdout)")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress table output")
     p.set_defaults(func=_trace_main)
 
 
@@ -729,35 +297,25 @@ def _dashboard_main(args) -> int:
     from repro.monitor.dashboard import render_dashboard, run_dashboard
 
     data, tele = run_dashboard(
-        _csv_ints(args.shape),
-        layout=args.layout,
-        drive=args.drive,
-        clients=args.clients,
-        queries=args.queries,
-        mix=args.mix,
-        arrival=args.arrival,
-        rate=args.rate,
-        think_ms=args.think_ms,
-        seed=args.seed,
-        slice_runs=args.slice_runs if args.slice_runs else None,
-        head=args.head,
+        args.shape,
         window_ms=args.window_ms,
         shards=args.shards,
         k=args.k,
         kill_at=args.kill_at,
         kill_disk=args.kill_disk,
         revive_at=args.revive_at,
+        **_storm_kwargs(args),
     )
     if not args.quiet:
         print(render_dashboard(data))
     if args.json:
-        _write_json_report(args.json, data, "dashboard.json", args.quiet)
+        write_json(args.json, data, "dashboard.json", args.quiet)
     return 0
 
 
 def _add_dashboard_parser(subparsers) -> None:
-    p = subparsers.add_parser(
-        "dashboard",
+    p = _add_storm_parser(
+        subparsers, "dashboard", clients=4, queries=16,
         help="monitored storm: windowed series, SLO alerts, health",
         description="Run one traffic storm with continuous monitoring "
         "attached — optionally killing (and reviving) a member disk "
@@ -766,33 +324,6 @@ def _add_dashboard_parser(subparsers) -> None:
         "alert and the health-state timeline.  The --json export feeds "
         "repro-bench diff.  Rules are listed by --list-rules.",
     )
-    p.add_argument("--shape", default="64,64,32",
-                   help="dataset dims, comma-separated (default 64,64,32)")
-    p.add_argument("--layout", default="multimap",
-                   help="registered layout (default multimap)")
-    p.add_argument("--drive", default="atlas10k3",
-                   help="registered drive model (default atlas10k3)")
-    p.add_argument("--clients", type=int, default=4,
-                   help="concurrent clients (default 4)")
-    p.add_argument("--queries", type=int, default=16,
-                   help="queries per client (default 16)")
-    p.add_argument("--mix", default=None, type=_parse_mix,
-                   help="query mix, e.g. 'beam:1,beam:2,range:1.0' "
-                   "(default: beams over axes 1..n-1)")
-    p.add_argument("--arrival", choices=("closed", "poisson", "bursty"),
-                   default="closed", help="arrival model (default closed)")
-    p.add_argument("--think-ms", type=float, default=0.0,
-                   help="closed-loop think time in ms")
-    p.add_argument("--rate", type=float, default=50.0,
-                   help="per-client rate for poisson (q/s) or bursty "
-                   "(bursts/s)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="base seed; every client stream derives from it")
-    p.add_argument("--slice-runs", type=int, default=64,
-                   help="runs per service slice; 0 = whole query per "
-                   "batch (default 64)")
-    p.add_argument("--head", choices=("random", "carry"), default="random",
-                   help="per-query random head position or carry-over")
     p.add_argument("--window-ms", type=float, default=50.0,
                    help="tumbling-window size in simulated ms "
                    "(default 50)")
@@ -807,10 +338,6 @@ def _add_dashboard_parser(subparsers) -> None:
                    help="member disk to kill (default 0)")
     p.add_argument("--revive-at", type=float, default=None,
                    help="revive the killed disk at this simulated ms")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress dashboard output")
     p.set_defaults(func=_dashboard_main)
 
 
@@ -831,11 +358,11 @@ def _explain_main(args) -> int:
     from repro.explain import render_explain, run_explain
 
     data = run_explain(
-        _csv_ints(args.shape),
-        layouts=_csv_strs(args.layouts),
+        ints(args.shape),
+        layouts=strs(args.layouts),
         drive=args.drive,
         axis=args.axis,
-        fixed=_csv_ints(args.fixed) if args.fixed else None,
+        fixed=ints(args.fixed) if args.fixed else None,
         box=args.box,
         shards=args.shards,
         k=args.k,
@@ -849,7 +376,7 @@ def _explain_main(args) -> int:
     if not args.quiet:
         print(render_explain(data))
     if args.json:
-        _write_json_report(args.json, data, "explain.json", args.quiet)
+        write_json(args.json, data, "explain.json", args.quiet)
     return 0
 
 
@@ -881,9 +408,9 @@ def _add_explain_parser(subparsers) -> None:
                    "(default: centre of each other dimension)")
     p.add_argument("--box", type=_parse_box, default=None,
                    help="range query instead of a beam: lo,lo,..:hi,hi,..")
-    p.add_argument("--shards", type=_positive_int, default=None,
+    p.add_argument("--shards", type=_arg_type(_positive), default=None,
                    help="shard the dataset over this many disks")
-    p.add_argument("--k", type=_positive_int, default=None,
+    p.add_argument("--k", type=_arg_type(_positive), default=None,
                    help="replication factor (needs --shards)")
     p.add_argument("--cache-blocks", type=int, default=0,
                    help="attach a buffer pool of this many blocks")
@@ -898,10 +425,7 @@ def _add_explain_parser(subparsers) -> None:
     p.add_argument("--model", action="store_true",
                    help="print the analytic model's predicted "
                    "beam/range speedups")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress plan-tree output")
+    _add_output_args(p, "plan-tree")
     p.set_defaults(func=_explain_main)
 
 
@@ -924,7 +448,7 @@ def _diff_main(args) -> int:
 
             print(render_attribution(data["attribution"]))
     if args.json:
-        _write_json_report(args.json, data, "diff.json", args.quiet)
+        write_json(args.json, data, "diff.json", args.quiet)
     return 1 if data["regressions"] else 0
 
 
@@ -947,10 +471,7 @@ def _add_diff_parser(subparsers) -> None:
     p.add_argument("--attribute", action="store_true",
                    help="rank the suspects behind the regression "
                    "(phases, disks, queries, monitor signals)")
-    p.add_argument("--json", default=None,
-                   help="JSON output file (or directory) for the diff")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress table output")
+    _add_output_args(p)
     p.set_defaults(func=_diff_main)
 
 
@@ -984,12 +505,8 @@ def main(argv=None) -> int:
             help=help_text,
         )
     subparsers = parser.add_subparsers(dest="command")
-    _add_traffic_parser(subparsers)
-    _add_cache_parser(subparsers)
-    _add_scale_parser(subparsers)
-    _add_avail_parser(subparsers)
-    _add_ingest_parser(subparsers)
-    _add_perf_parser(subparsers)
+    for name in SWEEPS:
+        _add_sweep_parser(subparsers, SWEEPS.get(name))
     _add_trace_parser(subparsers)
     _add_dashboard_parser(subparsers)
     _add_explain_parser(subparsers)

@@ -22,13 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench.reporting import render_table
+from repro.bench.sweep import Param, Sweep, ints, register
 from repro.query.workload import BeamQuery
 
 __all__ = ["overlapping_beams", "run_cache_sweep", "render_cache_sweep"]
-
-DEFAULT_LAYOUTS = ("naive", "zorder", "hilbert", "multimap")
-DEFAULT_CAPACITIES = (0, 4096, 12288, 24576)
 
 
 def overlapping_beams(
@@ -61,107 +58,75 @@ def overlapping_beams(
     return queries
 
 
-def run_cache_sweep(
-    shape,
-    layouts=DEFAULT_LAYOUTS,
-    capacities=DEFAULT_CAPACITIES,
-    *,
-    policy: str = "lru",
-    prefetch: str = "track",
-    n_beams: int = 16,
-    repeats: int = 3,
-    axes=(1,),
-    region_frac: float = 0.4,
-    drive: str = "minidrive",
-    seed: int = 42,
-    dataset_opts: dict | None = None,
-) -> dict:
-    """Sweep layouts × pool capacities under one repeated beam workload.
-
-    Returns ``layout -> {capacity: cell}`` where each cell carries the
-    pool's hit ratio / prefetch accuracy and the batch's timing
-    aggregates, plus a ``meta`` entry recording the sweep parameters.
-    Capacity 0 cells run with no pool at all (the parity baseline).
-    """
-    from repro.api.dataset import Dataset
-
-    shape = tuple(int(s) for s in shape)
-    queries = overlapping_beams(
-        shape, n_beams=n_beams, axes=axes,
-        region_frac=region_frac, seed=seed,
-    )
-    data: dict = {}
-    for layout in layouts:
-        per_cap: dict = {}
-        for cap in capacities:
-            ds = Dataset.create(
-                shape, layout=layout, drive=drive, seed=seed,
-                **(dataset_opts or {}),
-            ).with_cache(int(cap), policy=policy, prefetch=prefetch)
-            report = ds.query().add(queries).repeats(repeats).run()
-            cell = {
-                "capacity": int(cap),
-                "total_ms": report.total_ms,
-                "mean_query_ms": report.mean("total_ms"),
-            }
-            if ds.cache is not None:
-                stats = ds.cache.stats
-                cell.update(
-                    hit_ratio=stats.hit_ratio,
-                    prefetch_accuracy=stats.prefetch_accuracy,
-                    occupancy=ds.cache.occupancy,
-                )
-            else:
-                cell.update(hit_ratio=0.0, prefetch_accuracy=0.0,
-                            occupancy=0)
-            per_cap[int(cap)] = cell
-        data[layout] = per_cap
-    data["meta"] = {
-        "shape": list(shape),
-        "drive": drive if isinstance(drive, str) else getattr(
-            drive, "name", str(drive)
-        ),
-        "policy": policy,
-        "prefetch": prefetch,
-        "n_beams": int(n_beams),
-        "repeats": int(repeats),
-        "axes": [int(a) for a in axes],
-        "region_frac": float(region_frac),
-        "seed": int(seed),
-        "capacities": [int(c) for c in capacities],
-        "layouts": [str(layout) for layout in layouts],
+def _measure(run, layout, capacity, row) -> dict:
+    """One cell; capacity 0 runs with no pool at all (the parity
+    baseline)."""
+    ds = run.dataset(layout).with_cache(capacity, policy=run.policy,
+                                        prefetch=run.prefetch)
+    report = ds.query().add(run._queries).repeats(run.repeats).run()
+    cell = {
+        "capacity": capacity,
+        "total_ms": report.total_ms,
+        "mean_query_ms": report.mean("total_ms"),
     }
-    return data
+    if ds.cache is not None:
+        stats = ds.cache.stats
+        cell.update(
+            hit_ratio=stats.hit_ratio,
+            prefetch_accuracy=stats.prefetch_accuracy,
+            occupancy=ds.cache.occupancy,
+        )
+    else:
+        cell.update(hit_ratio=0.0, prefetch_accuracy=0.0, occupancy=0)
+    return cell
 
 
-def _layout_rows(data: dict, metric) -> tuple[list[int], list[list]]:
-    caps = data["meta"]["capacities"]
-    rows = []
-    for layout in data["meta"]["layouts"]:
-        per_cap = data[layout]
-        rows.append([layout] + [metric(per_cap[c]) for c in caps])
-    return caps, rows
+CACHE = register(Sweep(
+    name="cache",
+    help="hit-ratio-vs-capacity sweep per layout",
+    description="Replay a seeded overlapping-beam workload against each "
+    "layout at rising buffer-pool capacities and report the cache hit "
+    "ratio, prefetch accuracy, and query timings — the memory half of "
+    "MultiMap's locality dividend.  The default shape fills whole "
+    "minidrive tracks along dim 0.",
+    shape=(120, 16, 16),
+    drive="minidrive",
+    axis=Param("capacities", (0, 4096, 12288, 24576), "--capacities",
+               "comma-separated pool capacities in blocks "
+               "(0 = uncached baseline)", type=ints),
+    params=(
+        Param("policy", "lru", "--policy",
+              "eviction policy (lru, slru, scan, or registered)"),
+        Param("prefetch", "track", "--prefetch",
+              "prefetcher (none, track, adjacent, or registered)"),
+        Param("n_beams", 16, "--beams", "beams per round (default 16)",
+              type=int, count=True),
+        Param("repeats", 3, "--repeats",
+              "rounds over the same beams (default 3)", type=int,
+              count=True),
+        Param("axes", (1,), "--axes", "beam axes, cycled (default 1)",
+              type=ints),
+        Param("region_frac", 0.4, "--region",
+              "fraction of each dim beam anchors cluster in", type=float),
+        Param("seed", 42, "--seed", "workload + head-position seed",
+              type=int),
+    ),
+    setup=lambda run: {"_queries": overlapping_beams(
+        run.shape, n_beams=run.n_beams, axes=run.axes,
+        region_frac=run.region_frac, seed=run.seed,
+    )},
+    measure=_measure,
+    title="cache sweep: shape={shape} on {drive}, policy={policy}, "
+    "prefetch={prefetch}, {n_beams} beams x {repeats} repeats, seed={seed}",
+    tables=(
+        ("cache hit ratio vs pool capacity (blocks)", "cap {}",
+         "{hit_ratio:.1%}"),
+        ("mean query time (ms) vs pool capacity", "cap {}",
+         "{mean_query_ms:.2f}"),
+        ("prefetch accuracy vs pool capacity", "cap {}",
+         "{prefetch_accuracy:.1%}"),
+    ),
+))
 
-
-def render_cache_sweep(data: dict) -> str:
-    """Hit-ratio and mean-latency tables, capacity columns per layout."""
-    meta = data["meta"]
-    parts = [
-        f"cache sweep: shape={tuple(meta['shape'])} on {meta['drive']}, "
-        f"policy={meta['policy']}, prefetch={meta['prefetch']}, "
-        f"{meta['n_beams']} beams x {meta['repeats']} repeats, "
-        f"seed={meta['seed']}"
-    ]
-    caps, rows = _layout_rows(data, lambda c: f"{c['hit_ratio']:.1%}")
-    headers = ["layout"] + [f"cap {c}" for c in caps]
-    parts.append("cache hit ratio vs pool capacity (blocks)")
-    parts.append(render_table(headers, rows))
-    _, rows = _layout_rows(data, lambda c: f"{c['mean_query_ms']:.2f}")
-    parts.append("mean query time (ms) vs pool capacity")
-    parts.append(render_table(headers, rows))
-    _, rows = _layout_rows(
-        data, lambda c: f"{c['prefetch_accuracy']:.1%}"
-    )
-    parts.append("prefetch accuracy vs pool capacity")
-    parts.append(render_table(headers, rows))
-    return "\n\n".join(parts)
+run_cache_sweep = CACHE.run
+render_cache_sweep = CACHE.render

@@ -17,131 +17,89 @@ so on a skewed stream ``adaptive`` ≥ ``fixed`` for every layout.
 
 from __future__ import annotations
 
-from repro.bench.reporting import render_table
+from repro.bench.sweep import Param, Sweep, register, strs
 
 __all__ = ["run_ingest_sweep", "render_ingest_sweep"]
 
-DEFAULT_LAYOUTS = ("naive", "zorder", "hilbert", "multimap")
-DEFAULT_LOADERS = ("fixed", "adaptive")
+
+#: the :class:`~repro.ingest.report.IngestReport` fields a cell records
+_CELL_FIELDS = ("mb_per_s", "points_per_s", "stage_ms", "write_ms",
+                "total_ms", "flushes", "home_blocks", "blocks_written",
+                "overflow_points", "plan")
 
 
-def run_ingest_sweep(
-    shape,
-    layouts=DEFAULT_LAYOUTS,
-    loaders=DEFAULT_LOADERS,
-    *,
-    stream: str = "clustered",
-    stream_opts: dict | None = None,
-    n_points: int = 4096,
-    batch_points: int = 256,
-    flush_points: int = 1024,
-    n_shards: int = 2,
-    k: int = 1,
-    strategy: str = "disk_modulo",
-    drive: str = "atlas10k3",
-    seed: int = 42,
-    reorganize: bool = False,
-    dataset_opts: dict | None = None,
-) -> dict:
-    """Sweep layouts × loaders under one fixed record stream.
-
-    Returns ``layout -> {loader: cell}`` where each cell carries the
-    goodput, timing breakdown, and overflow counts of one
-    :class:`~repro.ingest.report.IngestReport`, plus a ``meta`` entry
-    recording the sweep parameters.  Streams are seeded and re-drawn
-    identically per cell; the chunk grid is the shard default for every
-    cell (the adaptive loader's chunk-shape suggestion depends only on
-    the stream sample, so when it re-chunks, it re-chunks every layout
-    the same way — the fairness condition of the sweep).
-    """
-    from repro.api.dataset import Dataset
-
-    shape = tuple(int(s) for s in shape)
-    data: dict = {}
-    for layout in layouts:
-        per_loader: dict = {}
-        for loader in loaders:
-            ds = Dataset.create(
-                shape, layout=layout, drive=drive, seed=seed,
-                **(dataset_opts or {}),
-            )
-            if int(n_shards) > 1:
-                ds = ds.with_shards(int(n_shards), strategy=strategy)
-            if int(k) > 1:
-                ds = ds.with_replication(int(k))
-            report = ds.with_ingest(
-                stream=stream,
-                loader=loader,
-                n_points=int(n_points),
-                batch_points=int(batch_points),
-                flush_points=int(flush_points),
-                seed=int(seed),
-                reorganize=bool(reorganize),
-                **(stream_opts or {}),
-            ).ingest().run()
-            per_loader[loader] = {
-                "mb_per_s": report.mb_per_s,
-                "points_per_s": report.points_per_s,
-                "stage_ms": report.stage_ms,
-                "write_ms": report.write_ms,
-                "total_ms": report.total_ms,
-                "flushes": report.flushes,
-                "home_blocks": report.home_blocks,
-                "blocks_written": report.blocks_written,
-                "overflow_points": report.overflow_points,
-                "plan": report.plan,
-            }
-        data[layout] = per_loader
-    data["meta"] = {
-        "shape": list(shape),
-        "drive": drive if isinstance(drive, str) else getattr(
-            drive, "name", str(drive)
-        ),
-        "stream": str(stream),
-        "stream_opts": dict(stream_opts or {}),
-        "n_points": int(n_points),
-        "batch_points": int(batch_points),
-        "flush_points": int(flush_points),
-        "n_shards": int(n_shards),
-        "k": int(k),
-        "strategy": str(strategy),
-        "seed": int(seed),
-        "reorganize": bool(reorganize),
-        "layouts": [str(layout) for layout in layouts],
-        "loaders": [str(ld) for ld in loaders],
-    }
-    return data
+def _measure(run, layout, loader, row) -> dict:
+    """One cell: a fresh same-seed dataset, sharded and replicated
+    identically, fed the identical stream.  The chunk grid is the shard
+    default (the adaptive loader's chunk-shape suggestion depends only
+    on the stream sample, so when it re-chunks, it re-chunks every
+    layout the same way — the fairness condition of the sweep)."""
+    ds = run.dataset(layout)
+    if run.n_shards > 1:
+        ds = ds.with_shards(run.n_shards, strategy=run.strategy)
+    if run.k > 1:
+        ds = ds.with_replication(run.k)
+    report = ds.with_ingest(
+        stream=run.stream,
+        loader=loader,
+        n_points=run.n_points,
+        batch_points=run.batch_points,
+        flush_points=run.flush_points,
+        seed=run.seed,
+        reorganize=run.reorganize,
+    ).ingest().run()
+    return {field: getattr(report, field) for field in _CELL_FIELDS}
 
 
-def _layout_rows(data: dict, metric) -> tuple[list[str], list[list]]:
-    loaders = data["meta"]["loaders"]
-    rows = []
-    for layout in data["meta"]["layouts"]:
-        per_loader = data[layout]
-        rows.append(
-            [layout] + [metric(per_loader[ld]) for ld in loaders]
-        )
-    return loaders, rows
+INGEST = register(Sweep(
+    name="ingest",
+    help="ingest-MB/s sweep, layouts x loaders",
+    description="Stream a seeded record stream into each layout under each "
+    "registered bulk loader (buffered, flushed as whole basic cubes, "
+    "replica-consistent) and report write goodput, overflow and write "
+    "makespan per mapping — the write-path half of MultiMap's locality "
+    "dividend.",
+    shape=(64, 16, 16),
+    drive="minidrive",
+    axis=Param("loaders", ("fixed", "adaptive"), "--loaders",
+               "comma-separated registered loaders", type=strs),
+    params=(
+        Param("stream", "clustered", "--stream",
+              "registered record stream (uniform, clustered, drifting)"),
+        Param("n_points", 4096, "--points",
+              "points streamed per cell (default 4096)", type=int,
+              count=True),
+        Param("batch_points", 256, "--batch-points",
+              "points per arriving batch (default 256)", type=int,
+              count=True),
+        Param("flush_points", 1024, "--flush-points",
+              "per-disk backlog that triggers a flush", type=int,
+              count=True),
+        Param("n_shards", 2, "--shards", "member disks (default 2)",
+              type=int, count=True),
+        Param("k", 1, "--k", "replication factor (default 1)", type=int,
+              count=True),
+        Param("strategy", "disk_modulo", "--strategy",
+              "registered declustering strategy"),
+        Param("seed", 42, "--seed", "stream + head-position seed",
+              type=int),
+        Param("reorganize", False, "--reorganize",
+              "fold overflow chains back after the stream (modelled "
+              "background I/O counted in total time)", type=bool),
+    ),
+    # the stream always runs with its registered defaults; the empty
+    # record keeps the historical meta (and BENCH_ingest.json) intact
+    setup=lambda run: {"stream_opts": {}},
+    measure=_measure,
+    title="ingest sweep: shape={shape} on {drive}, {n_points} points of "
+    "{stream} stream, {n_shards} shard(s) x{k}, seed={seed}",
+    tables=(
+        ("ingest goodput (MB/s) per loader", "{} MB/s", "{mb_per_s:.3f}"),
+        ("overflowed points per loader", "{} spills", "{overflow_points}"),
+        ("write makespan (ms) per loader", "{} write ms",
+         "{write_ms:.2f}"),
+    ),
+))
 
-
-def render_ingest_sweep(data: dict) -> str:
-    """Goodput and overflow tables, loader columns per layout."""
-    meta = data["meta"]
-    parts = [
-        f"ingest sweep: shape={tuple(meta['shape'])} on {meta['drive']}, "
-        f"{meta['n_points']} points of {meta['stream']} stream, "
-        f"{meta['n_shards']} shard(s) x{meta['k']}, seed={meta['seed']}"
-    ]
-    loaders, rows = _layout_rows(data, lambda c: f"{c['mb_per_s']:.3f}")
-    headers = ["layout"] + [f"{ld} MB/s" for ld in loaders]
-    parts.append("ingest goodput (MB/s) per loader")
-    parts.append(render_table(headers, rows))
-    _, rows = _layout_rows(data, lambda c: f"{c['overflow_points']}")
-    headers = ["layout"] + [f"{ld} spills" for ld in loaders]
-    parts.append("overflowed points per loader")
-    parts.append(render_table(headers, rows))
-    _, rows = _layout_rows(data, lambda c: f"{c['write_ms']:.2f}")
-    headers = ["layout"] + [f"{ld} write ms" for ld in loaders]
-    parts.append("write makespan (ms) per loader")
-    parts.append(render_table(headers, rows))
-    return "\n\n".join(parts)
+run_ingest_sweep = INGEST.run
+render_ingest_sweep = INGEST.render

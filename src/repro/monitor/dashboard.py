@@ -14,30 +14,26 @@ is an exact-zero check.
 
 from __future__ import annotations
 
-from repro.errors import MonitorError
-
 __all__ = ["render_dashboard", "run_dashboard"]
 
 
 def run_dashboard(shape, *, layout: str = "multimap",
                   drive: str = "atlas10k3", clients: int = 4,
-                  queries: int = 16, mix=None, arrival: str = "closed",
-                  rate: float = 50.0, think_ms: float = 0.0, seed=42,
-                  slice_runs: int | None = 64, head: str = "random",
-                  window_ms: float = 50.0, rules=None,
-                  shards: int | None = None, k: int | None = None,
-                  kill_at: float | None = None, kill_disk: int = 0,
-                  revive_at: float | None = None,
-                  exporter: str | None = None):
+                  queries: int = 16, seed=42, window_ms: float = 50.0,
+                  rules=None, shards: int | None = None,
+                  k: int | None = None, kill_at: float | None = None,
+                  kill_disk: int = 0, revive_at: float | None = None,
+                  exporter: str | None = None, **storm):
     """Run one monitored traffic storm.
 
     ``shards``/``k`` optionally scale out / replicate the dataset
     first (a kill needs ``k >= 2`` to keep answering); ``kill_at`` /
-    ``revive_at`` schedule the storm's disk failure.  Returns
-    ``(data, telemetry)`` like :func:`~repro.obs.trace_cmd.run_trace`.
+    ``revive_at`` schedule the storm's disk failure; ``storm`` holds the
+    storm group's settings as in :func:`~repro.obs.trace_cmd.run_trace`.
+    Returns ``(data, telemetry)`` like ``run_trace``.
     """
     from repro.api.dataset import Dataset
-    from repro.traffic import BurstyArrivals, ClosedLoop, PoissonArrivals
+    from repro.traffic.storm import storm_traffic
 
     ds = Dataset.create(tuple(shape), layout=layout, drive=drive,
                         seed=seed)
@@ -47,23 +43,7 @@ def run_dashboard(shape, *, layout: str = "multimap",
         ds = ds.with_replication(int(k))
     ds = ds.with_telemetry(exporter=exporter,
                            monitor={"window_ms": window_ms, "rules": rules})
-    if arrival == "closed":
-        arr = ClosedLoop(think_ms=think_ms)
-    elif arrival == "poisson":
-        arr = PoissonArrivals(rate_qps=rate)
-    elif arrival == "bursty":
-        arr = BurstyArrivals(burst_rate_per_s=rate)
-    else:
-        raise MonitorError(
-            f"arrival must be closed, poisson, or bursty; got {arrival!r}"
-        )
-    run = (
-        ds.traffic()
-        .clients(int(clients), mix=mix, arrival=arr,
-                 queries=int(queries))
-        .slice_runs(slice_runs if slice_runs else None)
-        .head(head)
-    )
+    run = storm_traffic(ds, clients, queries, **storm)
     if kill_at is not None:
         run.kill(float(kill_at), int(kill_disk),
                  revive_at_ms=(float(revive_at)

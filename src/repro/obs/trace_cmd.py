@@ -93,39 +93,22 @@ def disk_utilization(tracer, horizon_ms: float, bins: int = 24) -> dict:
 
 def run_trace(shape, *, layout: str = "multimap",
               drive: str = "atlas10k3", clients: int = 2,
-              queries: int = 8, mix=None, arrival: str = "closed",
-              rate: float = 50.0, think_ms: float = 0.0, seed=42,
-              slice_runs: int | None = 64, head: str = "random",
-              top: int = 5, bins: int = 24,
-              exporter: str | None = None):
+              queries: int = 8, seed=42, top: int = 5, bins: int = 24,
+              exporter: str | None = None, **storm):
     """Run one telemetry-attached traffic storm and distil its trace.
 
-    Returns ``(data, telemetry)``: a JSON-friendly report plus the live
+    ``storm`` holds the storm group's settings (``mix``, ``arrival``,
+    ``rate``, ``think_ms``, ``slice_runs``, ``head``; see
+    :func:`repro.traffic.storm.storm_traffic`).  Returns
+    ``(data, telemetry)``: a JSON-friendly report plus the live
     :class:`~repro.obs.telemetry.Telemetry` (for exporting).
     """
     from repro.api.dataset import Dataset
-    from repro.traffic import BurstyArrivals, ClosedLoop, PoissonArrivals
+    from repro.traffic.storm import storm_traffic
 
     ds = Dataset.create(tuple(shape), layout=layout, drive=drive,
                         seed=seed).with_telemetry(exporter=exporter)
-    if arrival == "closed":
-        arr = ClosedLoop(think_ms=think_ms)
-    elif arrival == "poisson":
-        arr = PoissonArrivals(rate_qps=rate)
-    elif arrival == "bursty":
-        arr = BurstyArrivals(burst_rate_per_s=rate)
-    else:
-        raise ObsError(
-            f"arrival must be closed, poisson, or bursty; got {arrival!r}"
-        )
-    report = (
-        ds.traffic()
-        .clients(int(clients), mix=mix, arrival=arr,
-                 queries=int(queries))
-        .slice_runs(slice_runs if slice_runs else None)
-        .head(head)
-        .run()
-    )
+    report = storm_traffic(ds, clients, queries, **storm).run()
     tele = ds.telemetry
     tracer = tele.tracer
     data = {

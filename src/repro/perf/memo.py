@@ -84,6 +84,10 @@ class MapperMemo:
             },
         }
 
+    #: the meta-record spelling (a sweep's ``meta`` records it at the
+    #: end of the run)
+    describe = stats
+
 
 #: the process-wide memo every mapper consults
 MEMO = MapperMemo()

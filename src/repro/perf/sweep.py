@@ -33,6 +33,7 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.bench.sweep import Param, Sweep, register
 from repro.disk.drive import DiskDrive
 from repro.errors import BenchmarkError
 from repro.perf.memo import MEMO
@@ -143,149 +144,145 @@ def _time_sptf(batches, window, repeats, seed, layout) -> tuple[float, float]:
     return fast_best * 1e3, ref_best * 1e3
 
 
-def run_perf_sweep(
-    shape,
-    layouts=("naive", "zorder", "hilbert", "multimap"),
-    *,
-    drive: str = "atlas10k3",
-    n_beams: int = 12,
-    n_ranges: int = 4,
-    selectivity_pct: float = 12.5,
-    full_ranges: int = 1,
-    repeats: int = 3,
-    ref_plans: int = 8,
-    ref_cell_cap: int = 4096,
-    seed: int = 42,
-) -> dict:
-    """Measure plan-preparation throughput per layout.
-
-    Returns ``{layout: metrics, "meta": {...}}``; the metrics dict is
-    the JSON payload ``BENCH_perf.json`` pins.
-    """
-    from repro.api.dataset import Dataset
-
-    shape = tuple(int(s) for s in shape)
-    if repeats < 1:
-        raise BenchmarkError("repeats must be >= 1")
-    queries = _build_workload(shape, n_beams, n_ranges, selectivity_pct,
-                              full_ranges, seed)
-    total_cells = sum(_query_cells(q, shape) for q in queries)
-    data: dict = {}
-    for layout in layouts:
+def _best_ms(fn, repeats: int = 1):
+    """Best-of-``repeats`` wall ms of ``fn()``, and its last result."""
+    best = float("inf")
+    for _ in range(repeats):
         t0 = perf_counter()
-        ds = Dataset.create(shape, layout=layout, drive=drive, seed=seed)
-        mapper = ds.mapper
-        if hasattr(mapper, "code_table"):
-            mapper.code_table()
-        build_ms = (perf_counter() - t0) * 1e3
-        storage = ds.storage
+        out = fn()
+        best = min(best, perf_counter() - t0)
+    return best * 1e3, out
 
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = perf_counter()
-            for q in queries:
-                storage.prepare(mapper, q)
-            best = min(best, perf_counter() - t0)
-        prep_ms = best * 1e3
 
-        # prep-vs-service split: one more prepare pass, then execute
-        rng = np.random.default_rng(seed)
-        t0 = perf_counter()
-        prepared = [storage.prepare(mapper, q) for q in queries]
-        prep_once_ms = (perf_counter() - t0) * 1e3
-        t0 = perf_counter()
-        for p in prepared:
-            storage.execute_prepared(p, rng=rng)
-        exec_ms = (perf_counter() - t0) * 1e3
-
-        # reference subset: cap per-query cells so the per-cell Python
-        # pipeline stays seconds-scale, and pin bit-identical plans
-        subset = [
-            q for q in queries if _query_cells(q, shape) <= ref_cell_cap
-        ][:ref_plans]
-        if not subset:
-            raise BenchmarkError(
-                "ref_cell_cap excluded every query from the reference "
-                "subset; raise it or shrink the workload"
-            )
-        fast_best = float("inf")
-        sub_fast = []
-        for _ in range(repeats):
-            t0 = perf_counter()
-            sub_fast = [storage.prepare(mapper, q) for q in subset]
-            fast_best = min(fast_best, perf_counter() - t0)
-        fast_ms = fast_best * 1e3
-        t0 = perf_counter()
-        sub_ref = [reference_prepare(storage, mapper, q) for q in subset]
-        ref_ms = (perf_counter() - t0) * 1e3
-        for q, fast, ref in zip(subset, sub_fast, sub_ref):
-            _assert_prepared_equal(fast, ref, layout, q)
-
-        batches = _sptf_batches(storage, prepared)
-        exec_speedup = None
-        if batches:
-            sptf_ms, sptf_ref_ms = _time_sptf(
-                batches, storage.window, repeats, seed, layout
-            )
-            exec_speedup = round(sptf_ref_ms / sptf_ms, 1)
-
-        data[layout] = {
-            "n_plans": len(queries),
-            "n_cells": int(total_cells),
-            "build_ms": round(build_ms, 3),
-            "prep_ms": round(prep_ms, 3),
-            "plans_per_s": round(len(queries) / (prep_ms / 1e3), 1),
-            "cells_per_s": round(total_cells / (prep_ms / 1e3), 1),
-            "exec_ms": round(exec_ms, 3),
-            "prep_share": round(
-                prep_once_ms / (prep_once_ms + exec_ms), 4
-            ),
-            "ref_plans": len(subset),
-            "ref_ms": round(ref_ms, 3),
-            "fast_ms": round(fast_ms, 3),
-            "speedup_vs_reference": round(ref_ms / fast_ms, 1),
-            "sptf_batches": len(batches),
-            "exec_speedup_vs_reference": exec_speedup,
-        }
-    data["meta"] = {
-        "shape": list(shape),
-        "drive": drive,
-        "n_beams": n_beams,
-        "n_ranges": n_ranges,
-        "selectivity_pct": selectivity_pct,
-        "full_ranges": full_ranges,
-        "repeats": repeats,
-        "ref_plans": ref_plans,
-        "ref_cell_cap": ref_cell_cap,
-        "seed": seed,
-        "memo": MEMO.stats(),
+def _setup(run) -> dict:
+    queries = _build_workload(run.shape, run.n_beams, run.n_ranges,
+                              run.selectivity_pct, run.full_ranges,
+                              run.seed)
+    return {
+        "_queries": queries,
+        "_cells": sum(_query_cells(q, run.shape) for q in queries),
+        "memo": MEMO,
     }
-    return data
 
 
-def render_perf_sweep(data: dict) -> str:
-    from repro.bench.reporting import render_table
+def _measure(run, layout, value, row) -> dict:
+    """One layout's metrics — the JSON payload ``BENCH_perf.json``
+    pins."""
+    shape, queries, repeats = run.shape, run._queries, run.repeats
 
-    headers = ["layout", "plans/s", "cells/s", "prep ms", "exec ms",
-               "prep share", "speedup vs ref", "exec vs ref"]
-    rows = []
-    for layout, row in data.items():
-        if layout == "meta":
-            continue
-        rows.append([
-            layout,
-            f"{row['plans_per_s']:.0f}",
-            f"{row['cells_per_s']:.0f}",
-            f"{row['prep_ms']:.2f}",
-            f"{row['exec_ms']:.2f}",
-            f"{row['prep_share']:.3f}",
-            f"{row['speedup_vs_reference']:.1f}x",
-            (
-                "-" if row["exec_speedup_vs_reference"] is None
-                else f"{row['exec_speedup_vs_reference']:.1f}x"
-            ),
-        ])
-    return render_table(headers, rows)
+    def build():
+        ds = run.dataset(layout)
+        if hasattr(ds.mapper, "code_table"):
+            ds.mapper.code_table()
+        return ds
+
+    build_ms, ds = _best_ms(build)
+    mapper, storage = ds.mapper, ds.storage
+
+    def prepare(qs):
+        return lambda: [storage.prepare(mapper, q) for q in qs]
+
+    prep_ms, _ = _best_ms(prepare(queries), repeats)
+    # prep-vs-service split: one more prepare pass, then execute
+    rng = np.random.default_rng(run.seed)
+    prep_once_ms, prepared = _best_ms(prepare(queries))
+    exec_ms, _ = _best_ms(
+        lambda: [storage.execute_prepared(p, rng=rng) for p in prepared]
+    )
+
+    # reference subset: cap per-query cells so the per-cell Python
+    # pipeline stays seconds-scale, and pin bit-identical plans
+    subset = [
+        q for q in queries if _query_cells(q, shape) <= run.ref_cell_cap
+    ][:run.ref_plans]
+    if not subset:
+        raise BenchmarkError(
+            "ref_cell_cap excluded every query from the reference "
+            "subset; raise it or shrink the workload"
+        )
+    fast_ms, sub_fast = _best_ms(prepare(subset), repeats)
+    ref_ms, sub_ref = _best_ms(
+        lambda: [reference_prepare(storage, mapper, q) for q in subset]
+    )
+    for q, fast, ref in zip(subset, sub_fast, sub_ref):
+        _assert_prepared_equal(fast, ref, layout, q)
+
+    batches = _sptf_batches(storage, prepared)
+    exec_speedup = None
+    if batches:
+        sptf_ms, sptf_ref_ms = _time_sptf(
+            batches, storage.window, repeats, run.seed, layout
+        )
+        exec_speedup = round(sptf_ref_ms / sptf_ms, 1)
+
+    cells = run._cells
+    return {
+        "n_plans": len(queries),
+        "n_cells": int(cells),
+        "build_ms": round(build_ms, 3),
+        "prep_ms": round(prep_ms, 3),
+        "plans_per_s": round(len(queries) / (prep_ms / 1e3), 1),
+        "cells_per_s": round(cells / (prep_ms / 1e3), 1),
+        "exec_ms": round(exec_ms, 3),
+        "prep_share": round(prep_once_ms / (prep_once_ms + exec_ms), 4),
+        "ref_plans": len(subset),
+        "ref_ms": round(ref_ms, 3),
+        "fast_ms": round(fast_ms, 3),
+        "speedup_vs_reference": round(ref_ms / fast_ms, 1),
+        "sptf_batches": len(batches),
+        "exec_speedup_vs_reference": exec_speedup,
+    }
+
+
+PERF = register(Sweep(
+    name="perf",
+    help="plan-preparation throughput sweep per layout",
+    description="Replay a seeded beam+range workload through each layout's "
+    "vectorized plan-preparation fast path and report plans/s, cells/s, "
+    "the prep-vs-service split, the speedup over the pure-Python "
+    "per-cell reference, and the drive SPTF scheduler's speedup over its "
+    "numpy-per-step reference (both asserted bit-identical before timing "
+    "is trusted).  With --check, gate the numbers against a pinned "
+    "baseline JSON and exit 1 on regression.",
+    shape=(64, 64, 32),
+    drive="atlas10k3",
+    axis=None,
+    params=(
+        Param("n_beams", 12, "--beams",
+              "beams in the workload, axes cycled (default 12)", type=int,
+              count=True),
+        Param("n_ranges", 4, "--ranges",
+              "random range cubes in the workload (default 4)", type=int),
+        Param("selectivity_pct", 12.5, "--selectivity",
+              "range-cube selectivity in percent (default 12.5)",
+              type=float),
+        Param("full_ranges", 1, "--full-ranges",
+              "full-box scans in the workload (default 1)", type=int),
+        Param("repeats", 3, "--repeats", "timing passes, best-of (default 3)",
+              type=int, count=True),
+        Param("ref_plans", 8, "--ref-plans", "workload prefix prepared "
+              "through the reference path for the speedup metric "
+              "(default 8)", type=int, count=True),
+        Param("ref_cell_cap", 4096, "--ref-cell-cap", "skip queries above "
+              "this many cells in the reference subset (default 4096)",
+              type=int, count=True),
+        Param("seed", 42, "--seed", "workload seed (default 42)", type=int),
+    ),
+    setup=_setup,
+    measure=_measure,
+    tables=((
+        None,
+        ("plans/s", "cells/s", "prep ms", "exec ms", "prep share",
+         "speedup vs ref", "exec vs ref"),
+        ("{plans_per_s:.0f}", "{cells_per_s:.0f}", "{prep_ms:.2f}",
+         "{exec_ms:.2f}", "{prep_share:.3f}", "{speedup_vs_reference:.1f}x",
+         lambda r: "-" if r["exec_speedup_vs_reference"] is None
+         else f"{r['exec_speedup_vs_reference']:.1f}x"),
+    ),),
+))
+
+run_perf_sweep = PERF.run
+render_perf_sweep = PERF.render
 
 
 def check_perf(

@@ -18,165 +18,121 @@ mapping, so its degraded MB/s stays ahead of every baseline
 
 from __future__ import annotations
 
-from repro.bench.reporting import render_table
+from repro.bench.sweep import Param, Sweep, ints, register
 from repro.errors import ReplicaError
 from repro.replica.failures import FailureInjector
-from repro.shard.scale import scale_beams
+from repro.shard.scale import beam_axes, mb_per_s, scale_beams
 
 __all__ = ["run_avail_sweep", "render_avail_sweep"]
 
-DEFAULT_LAYOUTS = ("naive", "zorder", "hilbert", "multimap")
-DEFAULT_KS = (1, 2, 3)
 
-
-def _mb_per_s(blocks: int, total_ms: float) -> float:
-    if total_ms <= 0:
-        return 0.0
-    return blocks * 512 / 1e6 / (total_ms / 1000.0)
-
-
-def run_avail_sweep(
-    shape,
-    layouts=DEFAULT_LAYOUTS,
-    ks=DEFAULT_KS,
-    *,
-    n_disks: int = 3,
-    placement: str = "rotated",
-    read_policy: str = "primary",
-    n_beams: int = 8,
-    axes=None,
-    drive: str = "atlas10k3",
-    seed: int = 42,
-    kill_disk: int | None = None,
-    dataset_opts: dict | None = None,
-) -> dict:
-    """Sweep layouts × replication factors under one seeded failure.
-
-    Returns ``layout -> {k: cell}`` plus a ``meta`` entry; each cell
-    carries healthy/degraded totals, MB/s, availability, and completed
-    query counts.  ``kill_disk=None`` draws the victim from a
-    :class:`FailureInjector` seeded with ``seed`` (one draw, shared by
-    every cell).
-    """
-    from repro.api.dataset import Dataset
-
-    shape = tuple(int(s) for s in shape)
-    ks = tuple(int(k) for k in ks)
-    n_disks = int(n_disks)
-    if any(k > n_disks for k in ks):
+def _setup(run) -> dict:
+    """The seeded victim (one draw, shared by every cell) and the
+    workload."""
+    if any(k > run.n_disks for k in run.ks):
         raise ReplicaError(
-            f"every k in {ks} must be <= n_disks={n_disks}"
+            f"every k in {run.ks} must be <= n_disks={run.n_disks}"
         )
-    victim = (
-        FailureInjector(n_disks, seed=seed).pick_disk()
-        if kill_disk is None else int(kill_disk)
-    )
-    if axes is None:
-        axes = tuple(range(1, len(shape))) if len(shape) > 1 else (0,)
-    queries = scale_beams(shape, n_beams=n_beams, axes=axes, seed=seed)
-
-    def build(layout: str, k: int) -> Dataset:
-        return Dataset.create(
-            shape, layout=layout, drive=drive, seed=seed,
-            **(dataset_opts or {}),
-        ).with_shards(n_disks).with_replication(
-            k, placement=placement, read_policy=read_policy,
-        )
-
-    data: dict = {}
-    for layout in layouts:
-        per_k: dict = {}
-        for k in ks:
-            healthy = build(layout, k)
-            report = healthy.query().add(queries).run()
-            h_blocks = sum(r.result.n_blocks for r in report.records)
-            h_ms = report.total_ms
-
-            degraded = build(layout, k)
-            degraded.storage.fail_disk(victim)
-            rng = degraded.rng()
-            d_blocks = completed = skipped = 0
-            d_ms = 0.0
-            for q in queries:
-                try:
-                    res = degraded.storage.run_query(
-                        degraded.mapper, q, rng=rng
-                    )
-                except ReplicaError:
-                    skipped += 1
-                    continue
-                completed += 1
-                d_blocks += res.n_blocks
-                d_ms += res.total_ms
-            per_k[k] = {
-                "k": k,
-                "healthy_ms": h_ms,
-                "healthy_mb_per_s": _mb_per_s(h_blocks, h_ms),
-                "degraded_ms": d_ms,
-                "degraded_mb_per_s": _mb_per_s(d_blocks, d_ms),
-                "availability": degraded.replica_map.readable_fraction(
-                    {victim}
-                ),
-                "completed": completed,
-                "skipped": skipped,
-                "storage_overhead": k,
-            }
-        data[layout] = per_k
-    data["meta"] = {
-        "shape": list(shape),
-        "drive": drive if isinstance(drive, str) else getattr(
-            drive, "name", str(drive)
+    axes = beam_axes(run.shape, run.axes)
+    return {
+        "killed_disk": (
+            FailureInjector(run.n_disks, seed=run.seed).pick_disk()
+            if run.kill_disk is None else run.kill_disk
         ),
-        "n_disks": n_disks,
-        "placement": placement,
-        "read_policy": read_policy,
-        "killed_disk": victim,
-        "n_beams": int(n_beams),
-        "axes": [int(a) for a in axes],
-        "seed": int(seed),
-        "ks": list(ks),
-        "layouts": [str(layout) for layout in layouts],
+        "axes": axes,
+        "_queries": scale_beams(run.shape, n_beams=run.n_beams, axes=axes,
+                                seed=run.seed),
     }
-    return data
 
 
-def _layout_rows(data: dict, metric) -> tuple[list[int], list[list]]:
-    ks = data["meta"]["ks"]
-    rows = []
-    for layout in data["meta"]["layouts"]:
-        per_k = data[layout]
-        rows.append([layout] + [metric(per_k[k]) for k in ks])
-    return ks, rows
+def _measure(run, layout, k, row) -> dict:
+    """Healthy, then degraded with the victim killed; queries that lose
+    every copy (k=1) are skipped and counted."""
+    def build():
+        return run.dataset(layout).with_shards(run.n_disks).with_replication(
+            k, placement=run.placement, read_policy=run.read_policy,
+        )
+
+    report = build().query().add(run._queries).run()
+    h_blocks = sum(r.result.n_blocks for r in report.records)
+    h_ms = report.total_ms
+
+    degraded = build()
+    degraded.storage.fail_disk(run.killed_disk)
+    rng = degraded.rng()
+    d_blocks = completed = skipped = 0
+    d_ms = 0.0
+    for q in run._queries:
+        try:
+            res = degraded.storage.run_query(degraded.mapper, q, rng=rng)
+        except ReplicaError:
+            skipped += 1
+            continue
+        completed += 1
+        d_blocks += res.n_blocks
+        d_ms += res.total_ms
+    return {
+        "k": k,
+        "healthy_ms": h_ms,
+        "healthy_mb_per_s": mb_per_s(h_blocks, h_ms),
+        "degraded_ms": d_ms,
+        "degraded_mb_per_s": mb_per_s(d_blocks, d_ms),
+        "availability": degraded.replica_map.readable_fraction(
+            {run.killed_disk}
+        ),
+        "completed": completed,
+        "skipped": skipped,
+        "storage_overhead": k,
+    }
 
 
-def render_avail_sweep(data: dict) -> str:
-    """Healthy/degraded throughput and availability tables, k columns
-    per layout."""
-    meta = data["meta"]
-    parts = [
-        f"availability sweep: shape={tuple(meta['shape'])} on "
-        f"{meta['drive']}, {meta['n_disks']} disks, "
-        f"placement={meta['placement']}, read_policy={meta['read_policy']},"
-        f" disk {meta['killed_disk']} killed, {meta['n_beams']} beams over"
-        f" axes {meta['axes']}, seed={meta['seed']}"
-    ]
-    ks, rows = _layout_rows(
-        data, lambda c: f"{c['healthy_mb_per_s']:.2f}"
-    )
-    headers = ["layout"] + [f"k={k}" for k in ks]
-    parts.append("healthy throughput (MB/s) vs replication factor")
-    parts.append(render_table(headers, rows))
-    _, rows = _layout_rows(
-        data, lambda c: f"{c['degraded_mb_per_s']:.2f}"
-    )
-    parts.append("degraded throughput (MB/s), one disk down")
-    parts.append(render_table(headers, rows))
-    _, rows = _layout_rows(
-        data,
-        lambda c: f"{c['availability']:.1%} "
-        f"({c['completed']}/{c['completed'] + c['skipped']} q)",
-    )
-    parts.append("single-failure availability (chunks readable, "
-                 "queries completed)")
-    parts.append(render_table(headers, rows))
-    return "\n\n".join(parts)
+AVAIL = register(Sweep(
+    name="avail",
+    help="availability/overhead-vs-k sweep per layout",
+    description="Replay a seeded beam workload against each layout at "
+    "rising replication factors, healthy and with one seeded member-disk "
+    "failure, and report throughput in both modes plus single-failure "
+    "availability — the fault-tolerance half of MultiMap's locality "
+    "dividend.",
+    shape=(64, 16, 16),
+    drive="atlas10k3",
+    axis=Param("ks", (1, 2, 3), "--ks",
+               "comma-separated replication factors to sweep", type=ints,
+               count=True),
+    params=(
+        Param("n_disks", 3, "--disks", "member disks (>= max k, default 3)",
+              type=int, count=True),
+        Param("placement", "rotated", "--placement",
+              "registered replica placement (rotated, locality_aligned, "
+              "...)"),
+        Param("read_policy", "primary", "--read-policy",
+              "registered read policy "
+              "(primary, round_robin, least_loaded, ...)"),
+        Param("n_beams", 8, "--beams",
+              "beams in the fixed workload (default 8)", type=int,
+              count=True),
+        Param("axes", None, "--axes", "beam axes, cycled (default: every "
+              "non-streaming axis)", type=ints),
+        Param("kill_disk", None, "--kill-disk",
+              "member disk to kill (default: seeded draw)", type=int),
+        Param("seed", 42, "--seed", "workload + head-position + victim seed",
+              type=int),
+    ),
+    setup=_setup,
+    measure=_measure,
+    title="availability sweep: shape={shape} on {drive}, {n_disks} disks, "
+    "placement={placement}, read_policy={read_policy}, disk {killed_disk} "
+    "killed, {n_beams} beams over axes {axes}, seed={seed}",
+    tables=(
+        ("healthy throughput (MB/s) vs replication factor", "k={}",
+         "{healthy_mb_per_s:.2f}"),
+        ("degraded throughput (MB/s), one disk down", "k={}",
+         "{degraded_mb_per_s:.2f}"),
+        ("single-failure availability (chunks readable, queries completed)",
+         "k={}", lambda c: f"{c['availability']:.1%} ({c['completed']}/"
+         f"{c['completed'] + c['skipped']} q)"),
+    ),
+))
+
+run_avail_sweep = AVAIL.run
+render_avail_sweep = AVAIL.render

@@ -22,171 +22,146 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench.reporting import render_table
+from repro.bench.sweep import Param, Sweep, ints, register
 from repro.query.workload import random_beam
 
-__all__ = ["scale_beams", "run_scale_sweep", "render_scale_sweep"]
+__all__ = ["beam_axes", "mb_per_s", "scale_beams", "run_scale_sweep",
+           "render_scale_sweep"]
 
-DEFAULT_LAYOUTS = ("naive", "zorder", "hilbert", "multimap")
-DEFAULT_SHARDS = (1, 2, 4)
+
+def beam_axes(shape, axes=None) -> tuple[int, ...]:
+    """``axes``, or by default every non-streaming axis (the traffic
+    storm's mix)."""
+    if axes is not None:
+        return tuple(int(a) for a in axes)
+    return tuple(range(1, len(shape))) if len(shape) > 1 else (0,)
 
 
 def scale_beams(shape, *, n_beams: int = 12, axes=None, seed: int = 0):
-    """A fixed beam workload cycling over ``axes`` (default: every
-    non-streaming axis, the traffic storm's mix) at seeded random
-    positions — the same concrete queries for every (layout,
+    """A fixed beam workload cycling over :func:`beam_axes` at seeded
+    random positions — the same concrete queries for every (layout,
     shard-count) cell."""
     shape = tuple(int(s) for s in shape)
-    if axes is None:
-        axes = tuple(range(1, len(shape))) if len(shape) > 1 else (0,)
+    axes = beam_axes(shape, axes)
     rng = np.random.default_rng(seed)
     return [
-        random_beam(shape, int(axes[i % len(axes)]), rng)
+        random_beam(shape, axes[i % len(axes)], rng)
         for i in range(int(n_beams))
     ]
 
 
-def run_scale_sweep(
-    shape,
-    layouts=DEFAULT_LAYOUTS,
-    shard_counts=DEFAULT_SHARDS,
-    *,
-    strategy: str = "disk_modulo",
-    split_axis: int = 1,
-    chunk_shape=None,
-    n_beams: int = 12,
-    axes=None,
-    drive: str = "atlas10k3",
-    seed: int = 42,
-    dataset_opts: dict | None = None,
-) -> dict:
-    """Sweep layouts × shard counts under one fixed beam workload.
+def mb_per_s(blocks: int, total_ms: float) -> float:
+    """Served 512-byte blocks per simulated second, in MB/s."""
+    return blocks * 512 / 1e6 / (total_ms / 1000.0) if total_ms > 0 else 0.0
 
-    Chunking slabs ``split_axis`` into ``n`` pieces per cell (an explicit
-    ``chunk_shape`` overrides this and is then used at every shard
-    count).  Returns ``layout -> {n_shards: cell}`` where each cell
-    carries the batch total, per-query mean, aggregate throughput (MB/s
-    over summed makespans), and the speedup relative to that layout's
-    first shard count, plus a ``meta`` entry recording the sweep
-    parameters.
-    """
-    from repro.api.dataset import Dataset
 
+def _setup(run) -> dict:
+    """One chunk shape per shard count, handed to every layout — the
+    fairness condition of the sweep (cells compare placements, never
+    chunk grids).  An explicit ``chunk_shape`` is used at every count;
+    cube_aligned strategies split on a basic-cube boundary (ignoring
+    ``split_axis``, so meta records none) whose granule depends only on
+    shape/drive, so one probe dataset resolves it; otherwise
+    ``split_axis`` is slabbed into ``n`` pieces."""
     from repro.lvm.striping import STRATEGIES
+    from repro.shard.map import ShardMap
 
-    shape = tuple(int(s) for s in shape)
-    shard_counts = tuple(int(n) for n in shard_counts)
-    split_axis = int(split_axis) % len(shape)
-    entry = STRATEGIES.get(strategy) if isinstance(strategy, str) \
-        else strategy
-    align_cubes = bool(getattr(entry, "align_cubes", False))
-    strategy_name = getattr(entry, "name", str(strategy))
-    # resolve one chunk shape per shard count up front and hand the SAME
-    # shape to every layout — the fairness condition of the sweep (cells
-    # compare placements, never chunk grids).  cube_aligned shapes split
-    # on a basic-cube boundary (overriding split_axis); the granule K
-    # depends only on shape/drive, so one probe dataset resolves it for
-    # every shard count.  Otherwise: split_axis slabs.
-    align = None
-    if align_cubes and chunk_shape is None:
-        from repro.shard.map import ShardMap
-
-        align = Dataset.create(
-            shape, layout="multimap", drive=drive, seed=seed,
-            **(dataset_opts or {}),
-        )._basic_cube_sides()
-    shapes_by_n: dict[int, tuple[int, ...]] = {}
-    for n in shard_counts:
-        if chunk_shape is not None:
-            shapes_by_n[n] = tuple(chunk_shape)
-        elif align is not None:
-            shapes_by_n[n] = ShardMap.build(
-                shape, n, strategy, align=align
+    shape = run.shape
+    split_axis = run.split_axis % len(shape)
+    entry = (STRATEGIES.get(run.strategy) if isinstance(run.strategy, str)
+             else run.strategy)
+    aligned = (bool(getattr(entry, "align_cubes", False))
+               and run.chunk_shape is None)
+    if aligned:
+        align = run.dataset("multimap")._basic_cube_sides()
+    shapes: dict[int, tuple[int, ...]] = {}
+    for n in run.shard_counts:
+        if run.chunk_shape is not None:
+            shapes[n] = tuple(run.chunk_shape)
+        elif aligned:
+            shapes[n] = ShardMap.build(
+                shape, n, run.strategy, align=align
             ).chunks[0].shape
         else:
             cs = list(shape)
             cs[split_axis] = -(-shape[split_axis] // n)
-            shapes_by_n[n] = tuple(cs)
-    if axes is None:
-        axes = tuple(range(1, len(shape))) if len(shape) > 1 else (0,)
-    queries = scale_beams(shape, n_beams=n_beams, axes=axes, seed=seed)
-    data: dict = {}
-    for layout in layouts:
-        per_n: dict = {}
-        base_ms = None
-        for n in shard_counts:
-            ds = Dataset.create(
-                shape, layout=layout, drive=drive, seed=seed,
-                **(dataset_opts or {}),
-            ).with_shards(n, strategy=strategy,
-                          chunk_shape=shapes_by_n[n])
-            report = ds.query().add(queries).run()
-            blocks = sum(r.result.n_blocks for r in report.records)
-            total_ms = report.total_ms
-            if base_ms is None:
-                base_ms = total_ms
-            per_n[n] = {
-                "n_shards": n,
-                "total_ms": total_ms,
-                "mean_query_ms": report.mean("total_ms"),
-                "ms_per_cell": report.mean("ms_per_cell"),
-                "served_blocks": blocks,
-                "mb_per_s": (
-                    blocks * 512 / 1e6 / (total_ms / 1000.0)
-                    if total_ms > 0 else 0.0
-                ),
-                "speedup": base_ms / total_ms if total_ms > 0 else 0.0,
-            }
-        data[layout] = per_n
-    data["meta"] = {
-        "shape": list(shape),
-        "drive": drive if isinstance(drive, str) else getattr(
-            drive, "name", str(drive)
-        ),
-        "strategy": strategy_name,
-        # cube_aligned overrides the slab axis (it splits on a basic-cube
-        # boundary instead), so don't record a split_axis it ignored
-        "split_axis": None if (align_cubes and chunk_shape is None)
-        else split_axis,
-        "chunk_shape": list(chunk_shape) if chunk_shape else None,
-        "chunk_shapes": {
-            int(n): list(s) for n, s in shapes_by_n.items()
-        },
-        "n_beams": int(n_beams),
-        "axes": [int(a) for a in axes],
-        "seed": int(seed),
-        "shard_counts": list(shard_counts),
-        "layouts": [str(layout) for layout in layouts],
+            shapes[n] = tuple(cs)
+    axes = beam_axes(shape, run.axes)
+    return {
+        "split_axis": None if aligned else split_axis,
+        "chunk_shapes": shapes,
+        "axes": axes,
+        "_queries": scale_beams(shape, n_beams=run.n_beams, axes=axes,
+                                seed=run.seed),
     }
-    return data
 
 
-def _layout_rows(data: dict, metric) -> tuple[list[int], list[list]]:
-    counts = data["meta"]["shard_counts"]
-    rows = []
-    for layout in data["meta"]["layouts"]:
-        per_n = data[layout]
-        rows.append([layout] + [metric(per_n[n]) for n in counts])
-    return counts, rows
+def _measure(run, layout, n, row) -> dict:
+    ds = run.dataset(layout).with_shards(
+        n, strategy=run.strategy, chunk_shape=run.chunk_shapes[n]
+    )
+    report = ds.query().add(run._queries).run()
+    blocks = sum(r.result.n_blocks for r in report.records)
+    total_ms = report.total_ms
+    base_ms = next(iter(row.values()))["total_ms"] if row else total_ms
+    return {
+        "n_shards": n,
+        "total_ms": total_ms,
+        "mean_query_ms": report.mean("total_ms"),
+        "ms_per_cell": report.mean("ms_per_cell"),
+        "served_blocks": blocks,
+        "mb_per_s": mb_per_s(blocks, total_ms),
+        "speedup": base_ms / total_ms if total_ms > 0 else 0.0,
+    }
 
 
-def render_scale_sweep(data: dict) -> str:
-    """Throughput, speedup, and ms/cell tables, shard columns per layout."""
-    meta = data["meta"]
-    parts = [
-        f"scale-out sweep: shape={tuple(meta['shape'])} on {meta['drive']},"
-        f" strategy={meta['strategy']}, {meta['n_beams']} beams over axes "
-        f"{meta['axes']}, seed={meta['seed']}"
-    ]
-    counts, rows = _layout_rows(data, lambda c: f"{c['mb_per_s']:.2f}")
-    headers = ["layout"] + [f"{n} disk" + ("s" if n > 1 else "")
-                            for n in counts]
-    parts.append("throughput (MB/s) vs shard count")
-    parts.append(render_table(headers, rows))
-    _, rows = _layout_rows(data, lambda c: f"{c['speedup']:.2f}x")
-    parts.append("speedup vs shard count (relative to first column)")
-    parts.append(render_table(headers, rows))
-    _, rows = _layout_rows(data, lambda c: f"{c['ms_per_cell']:.4f}")
-    parts.append("mean ms/cell vs shard count")
-    parts.append(render_table(headers, rows))
-    return "\n\n".join(parts)
+def _disks(n: int) -> str:
+    return f"{n} disk" + ("s" if n > 1 else "")
+
+
+SCALE = register(Sweep(
+    name="scale",
+    help="speedup-vs-disks sweep per layout",
+    description="Replay a seeded beam workload against each layout at "
+    "rising shard counts (chunks declustered across member disks, "
+    "queries serviced scatter-gather) and report throughput, speedup "
+    "relative to the first shard count, and ms/cell per mapping — the "
+    "multi-disk half of MultiMap's locality dividend.",
+    shape=(64, 64, 32),
+    drive="atlas10k3",
+    axis=Param("shard_counts", (1, 2, 4), "--shards",
+               "comma-separated shard counts to sweep", type=ints,
+               count=True),
+    params=(
+        Param("strategy", "disk_modulo", "--strategy",
+              "registered declustering strategy "
+              "(round_robin, disk_modulo, cube_aligned, ...)"),
+        Param("split_axis", 1, "--split-axis",
+              "axis the chunking slabs (default 1)", type=int),
+        Param("chunk_shape", None, help="explicit chunk shape for every "
+              "shard count (overrides split_axis)", type=ints),
+        Param("n_beams", 12, "--beams",
+              "beams in the fixed workload (default 12)", type=int,
+              count=True),
+        Param("axes", None, "--axes", "beam axes, cycled (default: every "
+              "non-streaming axis)", type=ints),
+        Param("seed", 42, "--seed", "workload + head-position seed",
+              type=int),
+    ),
+    setup=_setup,
+    measure=_measure,
+    title="scale-out sweep: shape={shape} on {drive}, strategy={strategy}, "
+    "{n_beams} beams over axes {axes}, seed={seed}",
+    tables=(
+        ("throughput (MB/s) vs shard count",
+         _disks, "{mb_per_s:.2f}"),
+        ("speedup vs shard count (relative to first column)",
+         _disks, "{speedup:.2f}x"),
+        ("mean ms/cell vs shard count",
+         _disks,
+         "{ms_per_cell:.4f}"),
+    ),
+))
+
+run_scale_sweep = SCALE.run
+render_scale_sweep = SCALE.render

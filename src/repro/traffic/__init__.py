@@ -27,6 +27,7 @@ from repro.traffic.arrivals import (
     BurstyArrivals,
     ClosedLoop,
     PoissonArrivals,
+    make_arrival,
 )
 from repro.traffic.clients import (
     BeamDraw,
@@ -54,6 +55,7 @@ __all__ = [
     "TrafficConfig",
     "TrafficReport",
     "TrafficSim",
+    "make_arrival",
     "render_storm",
     "run_storm",
 ]

@@ -33,7 +33,7 @@ import numpy as np
 from repro.errors import QueryError
 
 __all__ = ["ArrivalProcess", "ClosedLoop", "PoissonArrivals",
-           "BurstyArrivals"]
+           "BurstyArrivals", "make_arrival"]
 
 
 class ArrivalProcess:
@@ -154,3 +154,22 @@ class BurstyArrivals(ArrivalProcess):
             "intra_ms": float(self.intra_ms),
             "start_ms": float(self.start_ms),
         }
+
+
+def make_arrival(kind="closed", *, rate: float = 50.0,
+                 think_ms: float = 0.0) -> ArrivalProcess:
+    """The arrival model named on the command line: ``closed`` (think
+    ``think_ms``), ``poisson`` (``rate`` q/s per client) or ``bursty``
+    (``rate`` bursts/s).  ``None`` means closed; an
+    :class:`ArrivalProcess` passes through unchanged."""
+    if isinstance(kind, ArrivalProcess):
+        return kind
+    if kind is None or kind == "closed":
+        return ClosedLoop(think_ms=think_ms)
+    if kind == "poisson":
+        return PoissonArrivals(rate_qps=rate)
+    if kind == "bursty":
+        return BurstyArrivals(burst_rate_per_s=rate)
+    raise QueryError(
+        f"arrival must be closed, poisson, or bursty; got {kind!r}"
+    )

@@ -146,7 +146,7 @@ class TestCliTraffic:
         rc = main([
             "traffic", "--shape", "16,8,8", "--clients", "1",
             "--queries", "2", "--layouts", "multimap",
-            "--quiet", "--out", str(out),
+            "--quiet", "--json", str(out),
             "--mix", "beam:1,range:5.0", "--arrival", "poisson",
             "--rate", "100",
         ])

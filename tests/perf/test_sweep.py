@@ -6,7 +6,8 @@ import pytest
 
 from repro.bench.cli import main
 from repro.errors import BenchmarkError
-from repro.perf.sweep import check_perf, render_perf_sweep, run_perf_sweep
+from repro.perf.sweep import PERF, check_perf, render_perf_sweep, \
+    run_perf_sweep
 
 SWEEP_ARGS = dict(
     layouts=("naive", "multimap"),
@@ -126,7 +127,13 @@ def test_cli_perf_writes_json(tmp_path, capsys):
     assert "speedup vs ref" in capsys.readouterr().out
 
 
-def test_cli_perf_check_pass_and_fail(tmp_path, capsys):
+def test_cli_perf_check_pass_and_fail(tmp_path, capsys, monkeypatch,
+                                      sweep_data):
+    # this checks the CLI wiring, not the box's wall clock: every run
+    # reports the module fixture, so both halves are deterministic (the
+    # re-measured gate is CI's perf-smoke job)
+    monkeypatch.setattr(PERF, "measure",
+                        lambda run, layout, value, row: sweep_data[layout])
     baseline = tmp_path / "base.json"
     assert main([*CLI_ARGS, "--quiet", "--json", str(baseline)]) == 0
     assert main([*CLI_ARGS, "--quiet", "--check", str(baseline)]) == 0
