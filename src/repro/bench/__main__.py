@@ -1,6 +1,6 @@
 """``python -m repro.bench`` entry point."""
 
-from repro.bench.cli import main
+from repro.bench.cli import console_main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console_main())

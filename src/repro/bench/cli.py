@@ -14,7 +14,9 @@ regression).  ``traffic``, ``trace`` (a telemetry-attached storm) and
 query's plan and predicted cost per layout, and ``diff`` compares two
 exported run reports, exiting 1 on a regression.  The ``--list-*``
 flags (one per registry, driven by ``_LISTINGS``) print the registered
-names with descriptions.
+names with descriptions.  A rejected input exits with status 2 and one
+error line: argparse's for a bad flag, :func:`console_main`'s for a
+:class:`~repro.errors.ReproError` the library raises.
 
 Examples::
 
@@ -32,12 +34,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 from repro.bench.harness import FIGURES, run_all
 from repro.bench.sweep import DEFAULT_LAYOUTS, SWEEPS, ints, strs, write_json
+from repro.errors import ReproError
 
-__all__ = ["main"]
+__all__ = ["console_main", "main"]
 
 
 def _arg_type(convert):
@@ -327,9 +331,9 @@ def _add_dashboard_parser(subparsers) -> None:
     p.add_argument("--window-ms", type=float, default=50.0,
                    help="tumbling-window size in simulated ms "
                    "(default 50)")
-    p.add_argument("--shards", type=int, default=None,
+    p.add_argument("--shards", type=_arg_type(_positive), default=None,
                    help="decluster across this many member disks first")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_arg_type(_positive), default=None,
                    help="replication factor (k >= 2 keeps a killed "
                    "disk's data answerable)")
     p.add_argument("--kill-at", type=float, default=None,
@@ -528,5 +532,17 @@ def main(argv=None) -> int:
     return 0
 
 
+def console_main(argv=None) -> int:
+    """:func:`main` for the command line: a rejected input that the
+    library raises as :class:`~repro.errors.ReproError` exits with
+    status 2 and one ``error:`` line on stderr, as argparse does for a
+    bad flag, instead of a traceback."""
+    try:
+        return main(argv)
+    except ReproError as exc:
+        print(f"multimap-bench: error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    raise SystemExit(console_main())

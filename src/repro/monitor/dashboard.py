@@ -14,6 +14,8 @@ is an exact-zero check.
 
 from __future__ import annotations
 
+from repro.errors import MonitorError
+
 __all__ = ["render_dashboard", "run_dashboard"]
 
 
@@ -27,7 +29,8 @@ def run_dashboard(shape, *, layout: str = "multimap",
     """Run one monitored traffic storm.
 
     ``shards``/``k`` optionally scale out / replicate the dataset
-    first (a kill needs ``k >= 2`` to keep answering); ``kill_at`` /
+    first (a kill needs ``k >= 2`` to keep answering; a count below 1
+    raises :class:`~repro.errors.MonitorError`); ``kill_at`` /
     ``revive_at`` schedule the storm's disk failure; ``storm`` holds the
     storm group's settings as in :func:`~repro.obs.trace_cmd.run_trace`.
     Returns ``(data, telemetry)`` like ``run_trace``.
@@ -35,6 +38,11 @@ def run_dashboard(shape, *, layout: str = "multimap",
     from repro.api.dataset import Dataset
     from repro.traffic.storm import storm_traffic
 
+    for name, count in (("shards", shards), ("k", k)):
+        if count is not None and count < 1:
+            raise MonitorError(
+                f"{name} must be a positive integer, got {count}"
+            )
     ds = Dataset.create(tuple(shape), layout=layout, drive=drive,
                         seed=seed)
     if shards is not None and shards > 1:

@@ -19,6 +19,8 @@ byte-identically run over run.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from repro.errors import MonitorError
 
 __all__ = ["HEALTH_STATES", "HealthTracker"]
@@ -62,7 +64,7 @@ class HealthTracker:
             timeline.append((alert.t_ms, 1, "alert", alert))
         for b in range(n):
             timeline.append(((b + 1) * wms, 2, "window", b))
-        timeline.sort(key=lambda item: (item[0], item[1]))
+        timeline.sort(key=itemgetter(0, 1))
 
         alert_windows = {a.window for a in alerts}
         caps = series.capacity_series()

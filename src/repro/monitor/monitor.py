@@ -14,9 +14,22 @@ clock, or at 0 when tracing is off) are translated onto one contiguous
 axis; traffic recordings already carry simulated times and pass
 through unshifted.  Everything downstream is a pure function of the
 recorded spans, so same seed + workload ⇒ a byte-identical payload.
+
+:meth:`Monitor.describe` costs O(windows touched since the previous
+describe) plus assembling the payload, not O(history): the series
+re-renders only the rows a recording or a kill/revive event touched,
+and the monitor caches each rule's alerts (and their ``to_dict``) per
+window, re-evaluating a window only when a change reaches it — through
+the window itself, a rule's ``lookback`` (``burn_rate``), or the
+capacity column (``degraded_capacity``).  What stays per call is the
+health replay and copying the payload out: every call returns fresh
+containers, so mutating one report's ``meta`` never reaches the caches
+or a later report.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from repro.monitor.health import HealthTracker
 from repro.monitor.slo import resolve_rules
@@ -26,6 +39,11 @@ from repro.obs.metrics import DEFAULT_BUCKETS_MS
 __all__ = ["Monitor"]
 
 
+def _entry(alert) -> tuple:
+    """An alert with its sort key and its ``to_dict``, computed once."""
+    return (alert.t_ms, alert.rule, alert.detail), alert, alert.to_dict()
+
+
 class Monitor:
     """Windowed time-series + SLO rules + health state for one dataset.
 
@@ -33,13 +51,26 @@ class Monitor:
     :func:`~repro.monitor.slo.resolve_rules` accepts (default: every
     registered rule at its defaults); ``recover_windows`` is the
     health machine's probation length.
+
+    :meth:`describe` costs O(windows touched since the previous
+    describe) plus assembling the payload: alerts are cached per rule
+    and window (with their ``to_dict``) and re-evaluated only where a
+    change reaches, see the module docstring.
     """
 
     def __init__(self, window_ms: float = 50.0, rules=None,
                  recover_windows: int = 2, buckets=DEFAULT_BUCKETS_MS):
         self.series = TimeSeries(window_ms, buckets=buckets)
-        self.rules = resolve_rules(rules)
+        #: a tuple: the alert cache below is laid out per rule
+        self.rules = tuple(resolve_rules(rules))
         self.health = HealthTracker(recover_windows)
+        #: per rule, per window: the window's alert entries (see
+        #: :func:`_entry`); None for a rule without ``window_alerts``,
+        #: which is evaluated in full on every describe
+        self._alert_cache = [
+            [] if hasattr(rule, "window_alerts") else None
+            for rule in self.rules
+        ]
         #: batch-clock translation: batch roots sit on the tracer's
         #: clock (or all at 0 with tracing off); the shift tiles them
         #: onto the monitor's own axis either way
@@ -78,18 +109,51 @@ class Monitor:
     # evaluation
     # ------------------------------------------------------------------
 
+    def _refresh_alerts(self) -> None:
+        """Re-evaluate the cached windows the series' changes reach."""
+        series = self.series
+        touched, cap_from = series.changes()
+        n = series.n_windows
+        for rule, cache in zip(self.rules, self._alert_cache):
+            if cache is None:
+                continue
+            if touched is None:  # the series was reset
+                cache.clear()
+            stale = set(range(len(cache), n))
+            cache.extend([None] * (n - len(cache)))
+            if rule.reads_windows:
+                reach = rule.lookback + 1
+                for t in touched or ():
+                    stale.update(range(t, min(t + reach, n)))
+            if rule.reads_capacity:
+                stale.update(range(cap_from, n))
+            for b in stale:
+                cache[b] = [_entry(a) for a in rule.window_alerts(series, b)]
+
+    def _alert_entries(self) -> list:
+        """Every rule's alert entries, in one deterministic
+        simulated-time order."""
+        self._refresh_alerts()
+        out = []
+        for rule, cache in zip(self.rules, self._alert_cache):
+            if cache is None:
+                out.extend(_entry(a) for a in rule.evaluate(self.series))
+            else:
+                for entries in cache:
+                    out.extend(entries)
+        out.sort(key=itemgetter(0))
+        return out
+
     def alerts(self) -> list:
         """Every rule's alerts over the current series, in one
         deterministic simulated-time order."""
-        out = []
-        for rule in self.rules:
-            out.extend(rule.evaluate(self.series))
-        out.sort(key=lambda a: (a.t_ms, a.rule, a.detail))
-        return out
+        return [a for _, a, _ in self._alert_entries()]
 
     def describe(self) -> dict:
-        """The gated ``meta["monitor"]`` payload (stable key set)."""
-        alerts = self.alerts()
+        """The gated ``meta["monitor"]`` payload (stable key set), in
+        fresh containers."""
+        entries = self._alert_entries()
+        alerts = [a for _, a, _ in entries]
         merged = self.series.merged_latency()
         return {
             "window_ms": self.series.window_ms,
@@ -103,7 +167,7 @@ class Monitor:
                 },
             },
             "rules": [rule.describe() for rule in self.rules],
-            "alerts": [a.to_dict() for a in alerts],
+            "alerts": [dict(d) for _, _, d in entries],
             "health": self.health.evaluate(self.series, alerts),
             "events": [
                 {"t_ms": round(t, 3), "action": action, "disk": disk,

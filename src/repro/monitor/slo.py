@@ -16,6 +16,15 @@ Evaluation is a pure function of the series: rules walk the window
 rows in order and stamp every alert with the *simulated* end of the
 offending window, so same seed + workload ⇒ byte-identical alert
 streams (the determinism pin in ``tests/monitor``).
+
+The builtins evaluate one window at a time (``window_alerts(series,
+b)``) and declare what a window's alerts read: the window's own
+accumulators plus ``lookback`` earlier windows (``burn_rate`` reads
+``windows - 1``), or the capacity column (``degraded_capacity``).
+That is what lets :class:`~repro.monitor.Monitor` cache alerts per
+rule and window and re-evaluate only the windows a change can reach.
+A rule that offers only ``evaluate(series)`` still works; it is
+evaluated in full on every describe.
 """
 
 from __future__ import annotations
@@ -84,9 +93,18 @@ class AlertEvent:
 
 
 class _Rule:
-    """Shared plumbing: parameter capture and the describe() payload."""
+    """Shared plumbing: parameter capture, the describe() payload, and
+    the full evaluation as every window's ``window_alerts`` in order.
+
+    What one window's alerts read: with ``reads_windows``, the window's
+    accumulators and those of ``lookback`` earlier windows; with
+    ``reads_capacity``, its capacity column entry.
+    """
 
     name = "?"
+    reads_windows = True
+    lookback = 0
+    reads_capacity = False
 
     def __init__(self, **params):
         self.params = params
@@ -97,8 +115,20 @@ class _Rule:
             "params": {k: self.params[k] for k in sorted(self.params)},
         }
 
-    def evaluate(self, series) -> list:  # pragma: no cover - interface
-        raise NotImplementedError
+    def evaluate(self, series) -> list:
+        return [
+            alert
+            for b in range(series.n_windows)
+            for alert in self.window_alerts(series, b)
+        ]
+
+    def _alert(self, series, b: int, value: float, threshold: float,
+               detail: str) -> AlertEvent:
+        return AlertEvent(
+            t_ms=(b + 1) * series.window_ms, rule=self.name,
+            severity=self.severity, window=b, value=value,
+            threshold=threshold, detail=detail,
+        )
 
 
 @register_rule("latency_threshold")
@@ -112,22 +142,17 @@ class LatencyThresholdRule(_Rule):
         self.threshold_ms = float(threshold_ms)
         self.severity = severity
 
-    def evaluate(self, series) -> list:
-        out = []
-        for b in range(series.n_windows):
-            w = series._windows.get(b)
-            if w is None or w.latency.count == 0:
-                continue
-            value = w.latency.quantile(self.q)
-            if value > self.threshold_ms:
-                out.append(AlertEvent(
-                    t_ms=(b + 1) * series.window_ms,
-                    rule=self.name, severity=self.severity, window=b,
-                    value=value, threshold=self.threshold_ms,
-                    detail=f"p{self.q * 100:g} {value:.2f} ms > "
-                           f"{self.threshold_ms:g} ms",
-                ))
-        return out
+    def window_alerts(self, series, b: int) -> list:
+        w = series._windows.get(b)
+        if w is None or w.latency.count == 0:
+            return []
+        value = w.latency.quantile(self.q)
+        if not value > self.threshold_ms:
+            return []
+        return [self._alert(
+            series, b, value, self.threshold_ms,
+            f"p{self.q * 100:g} {value:.2f} ms > {self.threshold_ms:g} ms",
+        )]
 
 
 @register_rule("burn_rate")
@@ -159,34 +184,30 @@ class BurnRateRule(_Rule):
         self.windows = int(windows)
         self.factor = float(factor)
         self.severity = severity
+        self.lookback = self.windows - 1
 
-    def evaluate(self, series) -> list:
-        out = []
-        for b in range(series.n_windows):
-            total = 0
-            slow = 0.0
-            for i in range(max(b - self.windows + 1, 0), b + 1):
-                w = series._windows.get(i)
-                if w is None or w.latency.count == 0:
-                    continue
-                total += w.latency.count
-                slow += w.latency.count * (
-                    1.0 - w.latency.fraction_le(self.objective_ms)
-                )
-            if total == 0:
+    def window_alerts(self, series, b: int) -> list:
+        total = 0
+        slow = 0.0
+        for i in range(max(b - self.windows + 1, 0), b + 1):
+            w = series._windows.get(i)
+            if w is None or w.latency.count == 0:
                 continue
-            burn = (slow / total) / self.budget
-            if burn >= self.factor:
-                out.append(AlertEvent(
-                    t_ms=(b + 1) * series.window_ms,
-                    rule=self.name, severity=self.severity, window=b,
-                    value=burn, threshold=self.factor,
-                    detail=f"burn {burn:.2f}x over last "
-                           f"{self.windows} windows "
-                           f"(objective {self.objective_ms:g} ms, "
-                           f"budget {self.budget:g})",
-                ))
-        return out
+            total += w.latency.count
+            slow += w.latency.count * (
+                1.0 - w.latency.fraction_le(self.objective_ms)
+            )
+        if total == 0:
+            return []
+        burn = (slow / total) / self.budget
+        if not burn >= self.factor:
+            return []
+        return [self._alert(
+            series, b, burn, self.factor,
+            f"burn {burn:.2f}x over last {self.windows} windows "
+            f"(objective {self.objective_ms:g} ms, "
+            f"budget {self.budget:g})",
+        )]
 
 
 @register_rule("queue_saturation")
@@ -204,22 +225,18 @@ class QueueSaturationRule(_Rule):
         self.utilization = float(utilization)
         self.severity = severity
 
-    def evaluate(self, series) -> list:
+    def window_alerts(self, series, b: int) -> list:
+        w = series._windows.get(b)
+        if w is None:
+            return []
         out = []
-        for b in range(series.n_windows):
-            w = series._windows.get(b)
-            if w is None:
-                continue
-            for disk in sorted(w.busy_ms):
-                util = min(w.busy_ms[disk] / series.window_ms, 1.0)
-                if util >= self.utilization:
-                    out.append(AlertEvent(
-                        t_ms=(b + 1) * series.window_ms,
-                        rule=self.name, severity=self.severity,
-                        window=b, value=util,
-                        threshold=self.utilization,
-                        detail=f"disk {disk} at {util * 100:.1f}% busy",
-                    ))
+        for disk in sorted(w.busy_ms):
+            util = min(w.busy_ms[disk] / series.window_ms, 1.0)
+            if util >= self.utilization:
+                out.append(self._alert(
+                    series, b, util, self.utilization,
+                    f"disk {disk} at {util * 100:.1f}% busy",
+                ))
         return out
 
 
@@ -233,17 +250,17 @@ class DegradedCapacityRule(_Rule):
         self.min_fraction = float(min_fraction)
         self.severity = severity
 
-    def evaluate(self, series) -> list:
-        out = []
-        for b, cap in enumerate(series.capacity_series()):
-            if cap < self.min_fraction:
-                out.append(AlertEvent(
-                    t_ms=(b + 1) * series.window_ms,
-                    rule=self.name, severity=self.severity, window=b,
-                    value=cap, threshold=self.min_fraction,
-                    detail=f"capacity at {cap * 100:g}% of member disks",
-                ))
-        return out
+    reads_windows = False
+    reads_capacity = True
+
+    def window_alerts(self, series, b: int) -> list:
+        cap = series.capacity_at(b)
+        if not cap < self.min_fraction:
+            return []
+        return [self._alert(
+            series, b, cap, self.min_fraction,
+            f"capacity at {cap * 100:g}% of member disks",
+        )]
 
 
 def resolve_rules(spec) -> list:

@@ -27,14 +27,32 @@ Per window the collector records:
 Everything is consumed from values the engine already computed — no
 RNG draws, no wall clock — so same seed + workload ⇒ byte-identical
 window rows.
+
+The reads are incremental.  ``_window()`` marks every window an ingest
+or disk event touches as dirty; :meth:`TimeSeries.rows` re-renders only
+the dirty windows and the ones added since the last read, keeps every
+other row from its cache, and patches the capacity column from the
+first window a kill/revive event can have changed.  The overall latency
+histogram is kept running as roots arrive.  One read therefore costs
+O(windows touched since the previous read) plus copying the rows out,
+whatever the length of the recorded history.  :meth:`TimeSeries.changes`
+hands the same invalidation to caches built on top of the series (the
+SLO alert cache of :class:`~repro.monitor.Monitor`).
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, insort
 
 from repro.errors import MonitorError
 from repro.obs.metrics import DEFAULT_BUCKETS_MS, Histogram
 
 __all__ = ["TimeSeries"]
+
+
+def _event_time(event: tuple) -> float:
+    return event[0]
+
 
 #: bytes per block (§5.2 maps one cell to one 512-byte block) — the
 #: conversion behind the ingest-goodput MB/s column
@@ -61,7 +79,14 @@ class _Window:
 
 
 class TimeSeries:
-    """The windowed collector behind :class:`repro.monitor.Monitor`."""
+    """The windowed collector behind :class:`repro.monitor.Monitor`.
+
+    Besides the per-window accumulators it keeps the report state
+    incrementally (see the module docstring): a dirty set filled by
+    ``_window()``, each window's rendered row, the capacity column
+    (valid for a prefix of the windows, cut back by every kill/revive
+    event), and a running merged latency histogram.
+    """
 
     def __init__(self, window_ms: float = 50.0,
                  buckets=DEFAULT_BUCKETS_MS):
@@ -73,13 +98,31 @@ class TimeSeries:
         self.window_ms = window_ms
         self.buckets = tuple(float(b) for b in buckets)
         self._windows: dict[int, _Window] = {}
-        #: (t_ms, action, disk, live, total) in simulated-time order —
-        #: the capacity step function the degraded-capacity column and
-        #: the health machine replay
+        #: (t_ms, action, disk, live, total) in recording order — the
+        #: capacity step function the degraded-capacity column and the
+        #: health machine replay
         self.capacity_events: list[tuple] = []
         #: (t0_ms, t1_ms) background-reorganisation intervals
         self.reorgs: list[tuple] = []
         self._max_index = -1
+        self._latency = Histogram(self.buckets)
+        #: the capacity events stably sorted by time
+        self._events_by_t: list[tuple] = []
+        #: per-window capacity and the live fraction at each window's
+        #: end, valid for the windows below their length
+        self._caps: list[float] = []
+        self._levels: list[float] = []
+        #: the first window an event since the last refresh can have
+        #: changed the capacity of (None: no event)
+        self._cap_stale: int | None = None
+        #: rendered rows (private: :meth:`rows` hands out copies)
+        self._rows: list[dict] = []
+        #: windows touched since the rows were last brought up to date
+        self._dirty: set[int] = set()
+        #: what :meth:`changes` reports next: touched windows (None after
+        #: a reset) and the first window whose capacity was recomputed
+        self._changed: set[int] | None = set()
+        self._changed_cap = 0
 
     # ------------------------------------------------------------------
     # ingestion
@@ -92,8 +135,9 @@ class TimeSeries:
         w = self._windows.get(index)
         if w is None:
             w = self._windows[index] = _Window(self.buckets)
-        if index > self._max_index:
-            self._max_index = index
+            if index > self._max_index:
+                self._max_index = index
+        self._dirty.add(index)
         return w
 
     def _spread(self, t0: float, t1: float, add) -> None:
@@ -122,6 +166,7 @@ class TimeSeries:
             w = self._window(self._index(t1))
             w.queries += 1
             w.latency.observe(root.dur_ms)
+            self._latency.observe(root.dur_ms)
 
             def add_inflight(win, ms):
                 win.inflight_ms += ms
@@ -173,17 +218,33 @@ class TimeSeries:
                 f"disk event action must be 'kill' or 'revive', "
                 f"got {action!r}"
             )
-        self.capacity_events.append(
-            (float(t_ms), action, int(disk), int(live), int(total))
-        )
+        event = (float(t_ms), action, int(disk), int(live), int(total))
+        self.capacity_events.append(event)
+        insort(self._events_by_t, event, key=_event_time)
+        # the capacity column is stale from the event's window on (one
+        # window earlier too, in case t / window_ms rounded up)
+        stale = max(self._index(event[0]) - 1, 0)
+        del self._caps[stale:]
+        del self._levels[stale:]
+        if self._cap_stale is None or stale < self._cap_stale:
+            self._cap_stale = stale
         # materialise the window so an end-of-run kill still shows up
-        self._window(self._index(float(t_ms)))
+        self._window(self._index(event[0]))
 
     def reset(self) -> None:
         self._windows.clear()
         self.capacity_events.clear()
         self.reorgs.clear()
         self._max_index = -1
+        self._latency = Histogram(self.buckets)
+        self._events_by_t.clear()
+        self._caps.clear()
+        self._levels.clear()
+        self._cap_stale = None
+        self._rows.clear()
+        self._dirty.clear()
+        self._changed = None
+        self._changed_cap = 0
 
     # ------------------------------------------------------------------
     # reads
@@ -195,23 +256,29 @@ class TimeSeries:
 
     def merged_latency(self) -> Histogram:
         """One histogram over every window's completions (the overall
-        quantile summary the differ compares)."""
-        out = Histogram(self.buckets)
-        for index in sorted(self._windows):
-            out = out.merge(self._windows[index].latency)
-        return out
+        quantile summary the differ compares), as a fresh copy of the
+        running one.  Its bucket counts, min and max equal a merge of
+        the window histograms; ``sum`` is accumulated in recording
+        order."""
+        return Histogram(self.buckets).merge(self._latency)
 
-    def capacity_series(self) -> list[float]:
-        """Per-window live-disk fraction: the minimum of the capacity
-        step function over each window (1.0 with no failure events)."""
+    def _update_caps(self) -> None:
+        """Extend the capacity column to every window.
+
+        Window ``b`` holds the minimum of the capacity step function
+        over the window (1.0 with no failure events); the live fraction
+        at the end of the last valid window carries the replay on.
+        """
         n = self.n_windows
-        caps = [1.0] * n
-        if not self.capacity_events or n == 0:
-            return caps
-        events = sorted(self.capacity_events, key=lambda e: e[0])
-        current = 1.0
-        ei = 0
-        for b in range(n):
+        start = len(self._caps)
+        if start >= n:
+            return
+        events = self._events_by_t
+        current = self._levels[-1] if start else 1.0
+        # events before this window's start were consumed by the prefix
+        ei = (bisect_left(events, start * self.window_ms, key=_event_time)
+              if start else 0)
+        for b in range(start, n):
             hi = (b + 1) * self.window_ms
             low = current
             while ei < len(events) and events[ei][0] < hi:
@@ -219,60 +286,110 @@ class TimeSeries:
                 current = live / total if total else 1.0
                 low = min(low, current)
                 ei += 1
-            caps[b] = round(low, 4)
-        return caps
+            self._caps.append(round(low, 4))
+            self._levels.append(current)
+
+    def capacity_at(self, index: int) -> float:
+        """Window ``index``'s live-disk fraction."""
+        self._update_caps()
+        return self._caps[index]
+
+    def capacity_series(self) -> list[float]:
+        """Per-window live-disk fraction: the minimum of the capacity
+        step function over each window (1.0 with no failure events)."""
+        self._update_caps()
+        return list(self._caps)
+
+    def _refresh(self) -> None:
+        """Bring the cached rows up to date: patch the capacity column
+        where events changed it, then render the dirty windows and the
+        windows added since the last refresh."""
+        n = self.n_windows
+        self._update_caps()
+        rows = self._rows
+        cap_from = len(rows)
+        if self._cap_stale is not None:
+            cap_from = min(self._cap_stale, cap_from)
+            self._cap_stale = None
+        for b in range(cap_from, len(rows)):
+            rows[b]["capacity"] = self._caps[b]
+        touched = self._dirty
+        touched.update(range(len(rows), n))
+        rows.extend([None] * (n - len(rows)))
+        for b in touched:
+            rows[b] = self._render(b)
+        if self._changed is not None:
+            self._changed |= touched
+        self._changed_cap = min(self._changed_cap, cap_from)
+        self._dirty = set()
+
+    def changes(self) -> tuple:
+        """What changed since the previous call, for a cache built over
+        the series: ``(touched, cap_from)``, the windows whose
+        accumulators were touched or that are new (``None`` after a
+        reset: every window), and the first window whose capacity was
+        recomputed."""
+        self._refresh()
+        out = (self._changed, self._changed_cap)
+        self._changed = set()
+        self._changed_cap = self.n_windows
+        return out
+
+    def _render(self, b: int) -> dict:
+        """Window ``b``'s JSON row (empty windows keep the full key
+        set)."""
+        w = self._windows.get(b)
+        wms = self.window_ms
+        row = {
+            "w": b,
+            "t0_ms": round(b * wms, 3),
+            "queries": 0,
+            "qps": 0.0,
+            "p50_ms": 0.0,
+            "p99_ms": 0.0,
+            "util": {},
+            "queue": {},
+            "inflight": 0.0,
+            "cache_hit_ratio": 0.0,
+            "ingest_blocks": 0,
+            "ingest_mb_s": 0.0,
+            "capacity": self._caps[b],
+        }
+        if w is not None:
+            row["queries"] = w.queries
+            row["qps"] = round(w.queries / (wms / 1e3), 3)
+            row["p50_ms"] = round(w.latency.quantile(0.50), 3)
+            row["p99_ms"] = round(w.latency.quantile(0.99), 3)
+            row["util"] = {
+                str(d): round(min(ms / wms, 1.0), 4)
+                for d, ms in sorted(w.busy_ms.items())
+            }
+            row["queue"] = {
+                str(d): round(ms / wms, 4)
+                for d, ms in sorted(w.queue_ms.items())
+            }
+            row["inflight"] = round(w.inflight_ms / wms, 4)
+            served = w.cache_hits + w.disk_blocks
+            row["cache_hit_ratio"] = (
+                round(w.cache_hits / served, 4) if served else 0.0
+            )
+            row["ingest_blocks"] = w.flush_blocks
+            row["ingest_mb_s"] = round(
+                w.flush_blocks * BLOCK_BYTES / (wms / 1e3) / 1e6, 4
+            )
+            if w.reorg_ms > 0:
+                row["reorg_frac"] = round(min(w.reorg_ms / wms, 1.0), 4)
+        return row
 
     def rows(self) -> list[dict]:
         """The JSON window table (one dict per window, empty windows
-        included so the axis is contiguous from 0)."""
-        caps = self.capacity_series()
-        wms = self.window_ms
-        out = []
-        for b in range(self.n_windows):
-            w = self._windows.get(b)
-            row = {
-                "w": b,
-                "t0_ms": round(b * wms, 3),
-                "queries": 0,
-                "qps": 0.0,
-                "p50_ms": 0.0,
-                "p99_ms": 0.0,
-                "util": {},
-                "queue": {},
-                "inflight": 0.0,
-                "cache_hit_ratio": 0.0,
-                "ingest_blocks": 0,
-                "ingest_mb_s": 0.0,
-                "capacity": caps[b],
-            }
-            if w is not None:
-                row["queries"] = w.queries
-                row["qps"] = round(w.queries / (wms / 1e3), 3)
-                row["p50_ms"] = round(w.latency.quantile(0.50), 3)
-                row["p99_ms"] = round(w.latency.quantile(0.99), 3)
-                row["util"] = {
-                    str(d): round(min(ms / wms, 1.0), 4)
-                    for d, ms in sorted(w.busy_ms.items())
-                }
-                row["queue"] = {
-                    str(d): round(ms / wms, 4)
-                    for d, ms in sorted(w.queue_ms.items())
-                }
-                row["inflight"] = round(w.inflight_ms / wms, 4)
-                served = w.cache_hits + w.disk_blocks
-                row["cache_hit_ratio"] = (
-                    round(w.cache_hits / served, 4) if served else 0.0
-                )
-                row["ingest_blocks"] = w.flush_blocks
-                row["ingest_mb_s"] = round(
-                    w.flush_blocks * BLOCK_BYTES / (wms / 1e3) / 1e6, 4
-                )
-                if w.reorg_ms > 0:
-                    row["reorg_frac"] = round(
-                        min(w.reorg_ms / wms, 1.0), 4
-                    )
-            out.append(row)
-        return out
+        included so the axis is contiguous from 0), as fresh copies of
+        the cached rows."""
+        self._refresh()
+        return [
+            {**row, "util": dict(row["util"]), "queue": dict(row["queue"])}
+            for row in self._rows
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

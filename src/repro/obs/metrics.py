@@ -18,6 +18,7 @@ quantile in an exported snapshot is deterministic under a fixed seed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from contextlib import contextmanager
 from time import perf_counter
 
@@ -43,7 +44,7 @@ class Histogram:
     """A fixed-bucket streaming histogram with interpolated quantiles.
 
     ``bounds`` are inclusive upper edges in ascending order; a value
-    above the last edge lands in the overflow bucket.  Quantiles walk
+    above the last edge (or NaN) lands in the overflow bucket.  Quantiles walk
     the cumulative counts and interpolate linearly inside the matched
     bucket (the overflow bucket interpolates up to the observed max),
     so they are monotone in ``q`` and exact at bucket edges.
@@ -77,11 +78,13 @@ class Histogram:
             self.max = max(self.max, value)
         self.count += 1
         self.sum += value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.overflow += 1
+        # the first edge >= value; NaN compares false against every
+        # edge, so the ``<=`` re-check sends it to the overflow bucket
+        i = bisect_left(self.bounds, value)
+        if i < len(self.bounds) and value <= self.bounds[i]:
+            self.counts[i] += 1
+        else:
+            self.overflow += 1
 
     def quantile(self, q: float) -> float:
         """The ``q``-quantile (``q`` in [0, 1]) of the observed values,

@@ -93,14 +93,27 @@ class Tracer:
     query's total, so consecutive batch queries tile the axis without
     overlap.  Traffic recordings use simulated event times directly and
     leave the clock alone.
+
+    The report totals are kept as the roots arrive: :meth:`record`
+    walks each new tree once, adding to the running ``n_spans`` and the
+    per-category durations, so reading them costs O(categories) however
+    long the history is.  The sums run in the order a full re-walk
+    would take (roots in record order, each depth-first), so they are
+    bit-identical to it.
     """
 
     def __init__(self) -> None:
         self.roots: list[Span] = []
         self.clock_ms = 0.0
+        self.n_spans = 0
+        self._phase_ms: dict[str, float] = {}
 
     def record(self, root: Span) -> None:
         self.roots.append(root)
+        totals = self._phase_ms
+        for span in root.walk():
+            self.n_spans += 1
+            totals[span.cat] = totals.get(span.cat, 0.0) + span.dur_ms
 
     def advance(self, ms: float) -> None:
         self.clock_ms += float(ms)
@@ -108,22 +121,17 @@ class Tracer:
     def reset(self) -> None:
         self.roots.clear()
         self.clock_ms = 0.0
+        self.n_spans = 0
+        self._phase_ms.clear()
 
     @property
     def n_queries(self) -> int:
         return len(self.roots)
 
-    @property
-    def n_spans(self) -> int:
-        return sum(1 for root in self.roots for _ in root.walk())
-
     def phase_ms(self) -> dict:
         """Total duration per category over every recorded span (roots
         under ``"query"``, phases under their own categories)."""
-        totals: dict[str, float] = {}
-        for root in self.roots:
-            for span in root.walk():
-                totals[span.cat] = totals.get(span.cat, 0.0) + span.dur_ms
+        totals = self._phase_ms
         return {cat: totals[cat] for cat in sorted(totals)}
 
 

@@ -79,7 +79,9 @@ class Telemetry:
 
     def describe(self) -> dict:
         """The gated ``meta["obs"]`` payload: trace totals and the
-        metrics snapshot, keys present only for attached halves."""
+        metrics snapshot, keys present only for attached halves.  The
+        trace totals are the tracer's running ones, so this walks no
+        span."""
         out: dict = {}
         if self.tracer is not None:
             out["trace"] = {

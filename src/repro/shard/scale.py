@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.sweep import Param, Sweep, ints, register
+from repro.errors import BenchmarkError
 from repro.query.workload import random_beam
 
 __all__ = ["beam_axes", "mb_per_s", "scale_beams", "run_scale_sweep",
@@ -67,7 +68,13 @@ def _setup(run) -> dict:
     from repro.shard.map import ShardMap
 
     shape = run.shape
-    split_axis = run.split_axis % len(shape)
+    ndim = len(shape)
+    if not -ndim <= run.split_axis < ndim:
+        raise BenchmarkError(
+            f"split_axis {run.split_axis} is out of range for a "
+            f"{ndim}-d shape (valid: {-ndim}..{ndim - 1})"
+        )
+    split_axis = run.split_axis % ndim
     entry = (STRATEGIES.get(run.strategy) if isinstance(run.strategy, str)
              else run.strategy)
     aligned = (bool(getattr(entry, "align_cubes", False))

@@ -42,6 +42,22 @@ class TestCountValidation:
             main(["scale", "--shape", "24,8,8", "--shards", "0",
                   "--drive", "minidrive", "--quiet"])
 
+    @pytest.mark.parametrize("axis", ["7", "3", "-4"])
+    def test_scale_split_axis_out_of_range(self, axis):
+        # at the parent --split-axis 7 on a 3-d shape silently slabbed
+        # axis 1 (7 % 3) and recorded split_axis: 1
+        with pytest.raises(BenchmarkError, match="split_axis"):
+            main(["scale", "--shape", "24,8,8", "--split-axis", axis,
+                  "--shards", "1,2", "--drive", "minidrive", "--quiet"])
+
+    def test_scale_negative_split_axis_counts_from_the_end(self):
+        data = SWEEPS.get("scale").run(
+            (24, 8, 8), layouts=("naive",), shard_counts=(2,),
+            split_axis=-1, n_beams=2, drive="minidrive",
+        )
+        assert data["meta"]["split_axis"] == 2
+        assert data["meta"]["chunk_shapes"][2] == [24, 8, 4]
+
     def test_scale_cli_zero_beams(self):
         with pytest.raises(BenchmarkError, match="n_beams"):
             main(["scale", "--shape", "24,8,8", "--shards", "1,2",

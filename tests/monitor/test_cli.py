@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.bench.cli import main
+from repro.bench.cli import console_main, main
+from repro.errors import MonitorError
+from repro.monitor.dashboard import run_dashboard
 
 DASH_QUICK = ["dashboard", "--shape", "16,8,8", "--drive", "minidrive",
               "--clients", "2", "--queries", "3", "--seed", "11"]
@@ -44,6 +46,29 @@ class TestDashboard:
         with pytest.raises(SystemExit) as exc:
             main(DASH_QUICK + ["--arrival", "chaotic"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--shards", "--k"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_rejects_non_positive_counts(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(DASH_QUICK + [flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive integer" in err
+
+    @pytest.mark.parametrize("param", ["shards", "k"])
+    def test_run_dashboard_rejects_counts_below_one(self, param):
+        # at the parent these ran a silent unsharded, unreplicated storm
+        with pytest.raises(MonitorError, match=f"{param} must be a "
+                           "positive integer, got 0"):
+            run_dashboard((16, 8, 8), drive="minidrive", clients=1,
+                          queries=1, **{param: 0})
+
+    def test_console_prints_one_error_line(self, capsys):
+        assert console_main(DASH_QUICK + ["--window-ms", "0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["multimap-bench: error: window_ms must be "
+                       "positive, got 0.0"]
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0

@@ -28,6 +28,23 @@ class TestHistogram:
         assert h.counts == [1, 1]
         assert h.overflow == 1
 
+    def test_values_on_edges_land_in_their_bucket(self):
+        h = Histogram((1.0, 2.0, 4.0))
+        for v in (-1.0, 0.0, 1.0, 1.0000001, 2.0, 3.0, 4.0, 4.5,
+                  float("inf"), float("-inf")):
+            h.observe(v)
+        # inclusive upper edges: 1.0 -> bucket 0, 2.0 -> bucket 1
+        assert h.counts == [4, 2, 2]
+        assert h.overflow == 2
+
+    def test_nan_lands_in_overflow(self):
+        h = Histogram((1.0, 2.0))
+        h.observe(0.5)
+        h.observe(float("nan"))
+        assert h.counts == [1, 0]
+        assert h.overflow == 1
+        assert h.count == 2
+
     def test_empty_quantile_is_zero(self):
         h = Histogram((1.0,))
         assert h.quantile(0.5) == 0.0
